@@ -3,9 +3,11 @@ solved under a decoupled case and under a coupled (mixed) case.
 
 Under cases 11/22 the branches separate into two classical problems.
 Under the mixed cases the derivative endpoint swap couples them into
-a*lower'' = kappa*upper and a*upper'' = kappa*lower, which brings in the
-cos/cosh basis. Both routes eliminate the unknown initial derivatives
-with the far boundary condition.
+a*lower'' = kappa*upper and a*upper'' = kappa*lower. The sum
+s = lower + upper solves a*s'' = kappa*s (cosh/sinh) and the difference
+d = lower - upper solves a*d'' = -kappa*d (cos/sin), so the coupled pair
+is again two classical problems. Both routes eliminate the unknown
+initial derivatives with the far boundary condition.
 """
 
 import numpy as np

@@ -9,6 +9,7 @@ exact endpoint arithmetic instead of sampled approximation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidFuzzyNumberError
@@ -43,15 +44,18 @@ class FuzzyNumber:
     """Pair of affine branches (lower, upper) forming a valid level set.
 
     Invariants, checked at construction with ``ENDPOINT_TOL`` slack:
-    lower is non-decreasing in r, upper is non-increasing in r, and
-    lower(1) <= upper(1) (with the monotonicity this orders the branches
-    at every level).
+    every coefficient is finite, lower is non-decreasing in r, upper is
+    non-increasing in r, and lower(1) <= upper(1) (with the monotonicity
+    this orders the branches at every level).
     """
 
     lower: RFun
     upper: RFun
 
     def __post_init__(self):
+        values = (self.lower.c0, self.lower.c1, self.upper.c0, self.upper.c1)
+        if not all(math.isfinite(v) for v in values):
+            raise InvalidFuzzyNumberError(f"branch coefficients must be finite, got {values}")
         if self.lower.c1 < -ENDPOINT_TOL:
             raise InvalidFuzzyNumberError(
                 f"lower branch decreases in r (slope {self.lower.c1})"

@@ -7,19 +7,25 @@ result is assembled as envelope closed forms whose coefficients stay
 affine in the membership level r.
 
 The four differentiability cases differ in whether derivative endpoints
-swap. Cases 11 and 22 decouple the branches; the mixed cases 12 and 21
-couple them into a fourth-order operator with cos/cosh basis functions.
+swap. Cases 11 and 22 decouple the branches. The mixed cases 12 and 21
+couple them, and the sum and difference of the branches decouple them
+again. Every case thus reduces to two calls of one scalar two-point
+kernel, ``_solve_branch``.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import (
     CaseInapplicableError,
     EigenvalueDegeneracyError,
     FuzzyBvpError,
+    UnsupportedProblemError,
 )
 from .fuzzy import FuzzyNumber, RFun
 from .laplace import (
@@ -77,6 +83,9 @@ class FuzzyBVP:
     v_height: float = 0.0
 
     def __post_init__(self):
+        for name in ("a", "b", "c", "L", "v_height"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.a == 0.0:
             raise ValueError("leading coefficient a must be nonzero")
         if not self.L > 0.0:
@@ -144,83 +153,99 @@ class BranchTransform:
     f_part: RationalFunction
 
 
-def transform_bvp(prob: FuzzyBVP) -> tuple[BranchTransform, BranchTransform]:
-    """Branch-wise transform templates of the decoupled pipeline.
+def _branch_transform(a: float, b: float, c: float, y0: RFun) -> BranchTransform:
+    """Transform template of a*y'' + b*y' + c*y = 0 with y(0) = y0, y'(0) = F.
 
-    Using l[y'] = p*l[y] - y(0) and l[y''] = p^2*l[y] - p*y(0) - y'(0) with
-    y'(0) replaced by the symbolic constant F gives
+    Using l[y'] = p*l[y] - y(0) and l[y''] = p^2*l[y] - p*y(0) - y'(0) gives
 
         (a p^2 + b p + c) l[y] = a*y(0)*p + b*y(0) + a*F.
     """
-    den = Polynomial((prob.c, prob.b, prob.a))
-
-    def branch(y0: RFun) -> BranchTransform:
-        return BranchTransform(
-            const_part=RationalFunction(
-                Polynomial((prob.b * y0.c0, prob.a * y0.c0)), den
-            ),
-            r_part=RationalFunction(
-                Polynomial((prob.b * y0.c1, prob.a * y0.c1)), den
-            ),
-            f_part=RationalFunction(Polynomial((prob.a,)), den),
-        )
-
-    return branch(prob.bc0.lower), branch(prob.bc0.upper)
+    den = Polynomial((c, b, a))
+    return BranchTransform(
+        const_part=RationalFunction(Polynomial((b * y0.c0, a * y0.c0)), den),
+        r_part=RationalFunction(Polynomial((b * y0.c1, a * y0.c1)), den),
+        f_part=RationalFunction(Polynomial((a,)), den),
+    )
 
 
-def _merge_affine(
-    base0: ClosedForm, base1: ClosedForm, gains: list[tuple[ClosedForm, float, float]]
-) -> RClosedForm:
-    """Assemble coeff(r) = base0 + r*base1 + sum over gains of (g0 + g1*r)*gain."""
-    keys: list[tuple[TermKind, float]] = []
-    maps = [base0.coeff_map(), base1.coeff_map()] + [g.coeff_map() for g, _, _ in gains]
-    for m in maps:
-        for key in m:
-            if key not in keys:
-                keys.append(key)
+def transform_bvp(prob: FuzzyBVP) -> tuple[BranchTransform, BranchTransform]:
+    """Branch-wise transform templates of the decoupled pipeline."""
+    return (
+        _branch_transform(prob.a, prob.b, prob.c, prob.bc0.lower),
+        _branch_transform(prob.a, prob.b, prob.c, prob.bc0.upper),
+    )
+
+
+def _merge_affine(base0: ClosedForm, base1: ClosedForm, gain: ClosedForm, f: RFun) -> RClosedForm:
+    """Assemble coeff(r) = base0 + r*base1 + (f.c0 + f.c1*r)*gain."""
+    keys = dict.fromkeys([*base0.coeff_map(), *base1.coeff_map(), *gain.coeff_map()])
     terms = []
     for kind, k in keys:
-        c0 = base0.coeff(kind, k)
-        c1 = base1.coeff(kind, k)
-        for gain, g0, g1 in gains:
-            gc = gain.coeff(kind, k)
-            c0 += g0 * gc
-            c1 += g1 * gc
-        terms.append((kind, k, RFun(c0, c1)))
+        gc = gain.coeff(kind, k)
+        terms.append(
+            (kind, k, RFun(base0.coeff(kind, k) + f.c0 * gc, base1.coeff(kind, k) + f.c1 * gc))
+        )
     return RClosedForm(tuple(terms))
+
+
+def _solve_branch(
+    a: float, b: float, c: float, L: float, y0: RFun, yL: RFun
+) -> tuple[RClosedForm, RFun]:
+    """The scalar two-point kernel: a*y'' + b*y' + c*y = 0, y(0) = y0, y(L) = yL.
+
+    Inverts the transform template with y'(0) = F symbolic (the solution is
+    affine in F), then solves the single linear equation the x = L value
+    imposes on F. Returns the solution and F, both affine in r.
+    """
+    tmpl = _branch_transform(a, b, c, y0)
+    base0 = inverse_laplace(tmpl.const_part)
+    base1 = inverse_laplace(tmpl.r_part)
+    gain = inverse_laplace(tmpl.f_part)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gL = float(gain.evaluate(L))
+        b0L = float(base0.evaluate(L))
+        b1L = float(base1.evaluate(L))
+    if abs(gL) <= PIVOT_TOL:
+        raise EigenvalueDegeneracyError(
+            f"boundary elimination pivot vanished at L={L}; the domain "
+            "length is an eigenvalue of the operator"
+        )
+    f = RFun((yL.c0 - b0L) / gL, (yL.c1 - b1L) / gL)
+    if not all(math.isfinite(v) for v in (gL, b0L, b1L, f.c0, f.c1)):
+        k = max(abs(t.k) for t in gain.terms)
+        raise UnsupportedProblemError(
+            f"closed form overflows double precision at L={L}: k*L = {k * L:g} "
+            "(rate k of the basis)"
+        )
+    return _merge_affine(base0, base1, gain, f), f
+
+
+def _half_sum(s: RClosedForm, d: RClosedForm, sign: float) -> RClosedForm:
+    """(s + sign*d) / 2, merging terms that share a (kind, rate) key."""
+    coeffs: dict[tuple[TermKind, float], RFun] = {}
+    for form, j in ((s, 0.5), (d, 0.5 * sign)):
+        for kind, k, coeff in form.terms:
+            coeffs[(kind, k)] = coeffs.get((kind, k), RFun(0.0)) + coeff.scaled(j)
+    return RClosedForm(tuple((kind, k, coeff) for (kind, k), coeff in coeffs.items()))
 
 
 def solve_uncoupled(prob: FuzzyBVP) -> FuzzySolution:
     """Solve under case 11 or 22, where the branches separate.
 
-    Each branch is a classical constant-coefficient problem: invert the
-    transform template with F symbolic (the solution is affine in F), then
-    solve the single linear equation the x = L value imposes on F. Under
-    case 22 the derivative endpoints swap twice, which restores the same
-    template; only the bookkeeping of which branch owns which constant
-    changes, so both tags share this computation.
+    Each branch is a classical constant-coefficient problem handed to the
+    scalar kernel. Under case 22 the derivative endpoints swap twice, which
+    restores the same template; only the bookkeeping of which branch owns
+    which constant changes, so both tags share this computation.
     """
     if prob.case not in (DiffCase.CASE_11, DiffCase.CASE_22):
         raise CaseInapplicableError(f"solve_uncoupled expects case 11 or 22, got {prob.case}")
 
-    lower_t, upper_t = transform_bvp(prob)
-
-    def solve_branch(tmpl: BranchTransform, bcL: RFun) -> tuple[RClosedForm, RFun]:
-        base0 = inverse_laplace(tmpl.const_part)
-        base1 = inverse_laplace(tmpl.r_part)
-        gain = inverse_laplace(tmpl.f_part)
-        gL = float(gain.evaluate(prob.L))
-        if abs(gL) <= PIVOT_TOL:
-            raise EigenvalueDegeneracyError(
-                f"boundary elimination pivot vanished at L={prob.L}; the domain "
-                "length is an eigenvalue of the operator"
-            )
-        f0 = (bcL.c0 - float(base0.evaluate(prob.L))) / gL
-        f1 = (bcL.c1 - float(base1.evaluate(prob.L))) / gL
-        return _merge_affine(base0, base1, [(gain, f0, f1)]), RFun(f0, f1)
-
-    lower, f_lower = solve_branch(lower_t, prob.bcL.lower)
-    upper, f_upper = solve_branch(upper_t, prob.bcL.upper)
+    lower, f_lower = _solve_branch(
+        prob.a, prob.b, prob.c, prob.L, prob.bc0.lower, prob.bcL.lower
+    )
+    upper, f_upper = _solve_branch(
+        prob.a, prob.b, prob.c, prob.L, prob.bc0.upper, prob.bcL.upper
+    )
     if prob.case is DiffCase.CASE_11:
         constants = {"F1": f_lower, "F2": f_upper}
     else:
@@ -234,11 +259,16 @@ def solve_coupled(prob: FuzzyBVP) -> FuzzySolution:
     """Solve under the mixed cases 12 or 21, where the branches couple.
 
     The endpoint swap in the second derivative turns the equation into the
-    pair lower'' = kappa*upper, upper'' = kappa*lower with
-    kappa = -(c + v_height)/a. Eliminating one branch gives a fourth-order
-    operator with characteristic roots +/-w and +/-iw, w = sqrt(kappa);
-    the two unknown initial derivatives H1, H2 are eliminated by the 2x2
-    linear system the x = L values impose.
+    pair a*lower'' = -c_eff*upper, a*upper'' = -c_eff*lower with
+    c_eff = c + v_height. The sum s = lower + upper and the difference
+    d = lower - upper decouple it exactly:
+
+        a*s'' + c_eff*s = 0    (cosh/sinh, rate w = sqrt(kappa))
+        a*d'' - c_eff*d = 0    (cos/sin, frequency w)
+
+    with kappa = -c_eff/a > 0. Each is handed to the scalar kernel, and the
+    branches and their initial derivatives H1 = lower'(0), H2 = upper'(0)
+    are recombined as half sums and half differences.
     """
     if prob.case is None or not prob.case.is_mixed:
         raise CaseInapplicableError(f"solve_coupled expects case 12 or 21, got {prob.case}")
@@ -254,52 +284,15 @@ def solve_coupled(prob: FuzzyBVP) -> FuzzySolution:
             f"mixed cases need kappa = -c_eff/a > 0, got {kappa}; use case 11 or 22"
         )
 
-    w2 = kappa  # omega squared
-    den = Polynomial((-w2 * w2, 0.0, 0.0, 0.0, 1.0))
-
-    def base_parts(own: float, other: float) -> ClosedForm:
-        # l[branch] contribution (own*p^3 + w^2*other*p) / (p^4 - w^4)
-        return inverse_laplace(
-            RationalFunction(Polynomial((0.0, w2 * other, 0.0, own)), den)
-        )
-
-    gain_own = inverse_laplace(RationalFunction(Polynomial((0.0, 0.0, 1.0)), den))
-    gain_other = inverse_laplace(RationalFunction(Polynomial((w2,)), den))
-
-    lo0 = base_parts(prob.bc0.lower.c0, prob.bc0.upper.c0)
-    lo1 = base_parts(prob.bc0.lower.c1, prob.bc0.upper.c1)
-    up0 = base_parts(prob.bc0.upper.c0, prob.bc0.lower.c0)
-    up1 = base_parts(prob.bc0.upper.c1, prob.bc0.lower.c1)
-
-    gp = float(gain_own.evaluate(prob.L))
-    gw = float(gain_other.evaluate(prob.L))
-    det = gp * gp - gw * gw
-    if abs(det) <= PIVOT_TOL:
-        raise EigenvalueDegeneracyError(
-            f"coupled elimination is singular at L={prob.L} "
-            "(sin(w*L)*sinh(w*L) = 0)"
-        )
-
-    def eliminate(rhs_lower: float, rhs_upper: float) -> tuple[float, float]:
-        # [gp gw; gw gp] (h1, h2) = (rhs_lower, rhs_upper)
-        return (
-            (gp * rhs_lower - gw * rhs_upper) / det,
-            (gp * rhs_upper - gw * rhs_lower) / det,
-        )
-
-    h1_0, h2_0 = eliminate(
-        prob.bcL.lower.c0 - float(lo0.evaluate(prob.L)),
-        prob.bcL.upper.c0 - float(up0.evaluate(prob.L)),
+    bc0, bcL = prob.bc0, prob.bcL
+    s, f_s = _solve_branch(
+        prob.a, 0.0, c_eff, prob.L, bc0.lower + bc0.upper, bcL.lower + bcL.upper
     )
-    h1_1, h2_1 = eliminate(
-        prob.bcL.lower.c1 - float(lo1.evaluate(prob.L)),
-        prob.bcL.upper.c1 - float(up1.evaluate(prob.L)),
+    d, f_d = _solve_branch(
+        prob.a, 0.0, -c_eff, prob.L, bc0.lower - bc0.upper, bcL.lower - bcL.upper
     )
-
-    lower = _merge_affine(lo0, lo1, [(gain_own, h1_0, h1_1), (gain_other, h2_0, h2_1)])
-    upper = _merge_affine(up0, up1, [(gain_own, h2_0, h2_1), (gain_other, h1_0, h1_1)])
-    constants = {"H1": RFun(h1_0, h1_1), "H2": RFun(h2_0, h2_1)}
-    return FuzzySolution(lower, upper, prob.case, prob, constants)
+    constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
+    return FuzzySolution(_half_sum(s, d, 1.0), _half_sum(s, d, -1.0), prob.case, prob, constants)
 
 
 def solve(prob: FuzzyBVP) -> FuzzySolution:

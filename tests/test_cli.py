@@ -213,6 +213,31 @@ class TestRun:
         assert "solved = false" in report
         assert "error = CaseInapplicableError" in report
 
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [("c = -1", "c = nan", "c must be finite"),
+         ("L = 1\n", "L = inf\n", "L must be finite"),
+         ("lower = 4 1", "lower = nan 1", "line 15: branch coefficients must be finite")],
+    )
+    def test_non_finite_input_exit_2(self, tmp_path, capsys, old, new, where):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(WAVE_PROBLEM.replace(old, new))
+        assert run(problem, out_dir=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_domain_exit_1(self, tmp_path, capsys):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(WAVE_PROBLEM.replace("L = 1\n", "L = 800\n"))
+        out = tmp_path / "out"
+        assert run(problem, out_dir=out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4
+        assert all("failed: UnsupportedProblemError" in line for line in err)
+        assert (out / "report.txt").read_text().count("solved = false") == 4
+
     def test_main_entry_point(self, tmp_path):
         problem = tmp_path / "problem.txt"
         problem.write_text(HOMOGENEOUS_PROBLEM)

@@ -41,6 +41,21 @@ def assert_fn_equal(u: FuzzyNumber, v: FuzzyNumber, tol: float = 0.0):
     assert abs(u.upper.c1 - v.upper.c1) <= tol
 
 
+class TestConstruction:
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [
+            (RFun(float("nan")), RFun(1.0)),
+            (RFun(0.0, float("inf")), RFun(1.0)),
+            (RFun(0.0), RFun(float("-inf"))),
+            (RFun(0.0), RFun(1.0, float("nan"))),
+        ],
+    )
+    def test_rejects_non_finite_coefficients(self, lower, upper):
+        with pytest.raises(InvalidFuzzyNumberError, match="finite"):
+            FuzzyNumber(lower, upper)
+
+
 class TestTriangular:
     def test_symmetric_unit(self):
         u = triangular(1, 2, 3)

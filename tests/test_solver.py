@@ -302,6 +302,38 @@ class TestSolveCoupled:
         with pytest.raises(CaseInapplicableError):
             solve_coupled(homogeneous_problem(DiffCase.CASE_12))
 
+    @pytest.mark.parametrize(
+        "a, c, v_height, L",
+        [
+            (1.0, -1.0, 0.0, 1.0),
+            (-2.0, 3.0, 0.0, 1.5),     # a < 0 with c_eff > 0
+            (1.0, -4.0, 1.5, 1.7),     # nonzero potential height
+            (0.5, -0.3, -0.2, 2.0),
+        ],
+    )
+    def test_constants_are_initial_derivatives(self, a, c, v_height, L):
+        prob = FuzzyBVP(
+            a=a, b=0.0, c=c, L=L, bc0=BC0, bcL=BCL,
+            case=DiffCase.CASE_12, v_height=v_height,
+        )
+        sol = solve_coupled(prob)
+        c_eff = c + v_height
+        xs = np.linspace(0, L, 101)
+        for r in np.linspace(0, 1, 5):
+            lo = sol.lower.fix_r(r)
+            up = sol.upper.fix_r(r)
+            assert sol.constants["H1"](r) == pytest.approx(
+                lo.differentiate().evaluate(0.0), rel=1e-12, abs=1e-12
+            )
+            assert sol.constants["H2"](r) == pytest.approx(
+                up.differentiate().evaluate(0.0), rel=1e-12, abs=1e-12
+            )
+            res1 = a * lo.differentiate().differentiate().evaluate(xs) + c_eff * up.evaluate(xs)
+            res2 = a * up.differentiate().differentiate().evaluate(xs) + c_eff * lo.evaluate(xs)
+            scale = 1 + max(np.max(np.abs(lo.evaluate(xs))), np.max(np.abs(up.evaluate(xs))))
+            assert np.max(np.abs(res1)) <= 1e-8 * scale
+            assert np.max(np.abs(res2)) <= 1e-8 * scale
+
 
 class TestDispatchAndEnumeration:
     def test_solve_dispatches(self):
@@ -348,3 +380,28 @@ class TestDispatchAndEnumeration:
             FuzzyBVP(a=0.0, b=0.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL)
         with pytest.raises(ValueError):
             FuzzyBVP(a=1.0, b=0.0, c=1.0, L=0.0, bc0=BC0, bcL=BCL)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("a", np.inf), ("b", np.nan), ("c", np.nan), ("L", np.inf), ("v_height", -np.inf)],
+    )
+    def test_non_finite_coefficients_rejected(self, field, value):
+        data = dict(a=1.0, b=0.0, c=-1.0, L=1.0, v_height=0.0)
+        data[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            FuzzyBVP(bc0=BC0, bcL=BCL, **data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_overflowing_domain_refused(self, case):
+        # cosh(800) overflows double precision: no NaN solution comes back
+        prob = FuzzyBVP(a=1.0, b=0.0, c=-1.0, L=800.0, bc0=BC0, bcL=BCL, case=case)
+        with pytest.raises(UnsupportedProblemError, match=r"k\*L = 800"):
+            solve(prob)
+
+    @pytest.mark.filterwarnings("error")
+    def test_enumerate_records_overflow(self):
+        prob = FuzzyBVP(a=1.0, b=0.0, c=-1.0, L=800.0, bc0=BC0, bcL=BCL)
+        results = enumerate_cases(prob)
+        assert not any(r.solved for r in results)
+        assert all(r.error.startswith("UnsupportedProblemError") for r in results)

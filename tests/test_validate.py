@@ -174,6 +174,27 @@ class TestFdOracleCoupled:
         assert np.max(np.abs(v - w)) <= 1e-12
         assert np.max(np.abs(v - scalar)) <= 1e-10
 
+    def test_matches_dense_stacked_system(self):
+        # the coupled central-difference system assembled and solved as it
+        # stands, with no sum/difference change of variables
+        a, kappa, L, n = 1.5, 2.0, 1.3, 64
+        v0, w0, vL, wL = 1.0, 3.0, 4.0, 6.0
+        m, h = n - 1, L / n
+        lap = (
+            np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+        ) * (a / h**2)
+        system = np.block([[lap, -kappa * np.eye(m)], [-kappa * np.eye(m), lap]])
+        rhs = np.zeros(2 * m)
+        rhs[0] -= a / h**2 * v0
+        rhs[m - 1] -= a / h**2 * vL
+        rhs[m] -= a / h**2 * w0
+        rhs[-1] -= a / h**2 * wL
+        dense = np.linalg.solve(system, rhs)
+        v, w = fd_oracle_coupled(a, kappa, L, v0, w0, vL, wL, n)
+        assert np.max(np.abs(v[1:-1] - dense[:m])) <= 1e-10
+        assert np.max(np.abs(w[1:-1] - dense[m:])) <= 1e-10
+        assert (v[0], w[0], v[-1], w[-1]) == (v0, w0, vL, wL)
+
     def test_matches_coupled_closed_form(self):
         sol = wave_solution(DiffCase.CASE_12)
         assert oracle_gap(sol, n=10_000) <= 1e-5
