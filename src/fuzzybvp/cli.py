@@ -6,7 +6,8 @@ human-readable solution summary, one CSV of envelope samples per solved
 case, and a validity report block per requested case.
 
 Exit codes: 0 when at least one requested case produced a solution,
-1 when every requested case failed, 2 on a parse failure.
+1 when every requested case failed, 2 on a parse failure, 3 on an
+unexpected internal error (reported as one ``error: internal:`` line).
 """
 
 from __future__ import annotations
@@ -237,20 +238,19 @@ def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
     return results
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits, scientific: round-trips doubles on any platform
-    return f"{value:.16e}"
-
-
 def _write_csv(path: Path, sol, x_samples: int, r_levels: int) -> None:
+    # 17 significant digits, scientific: round-trips doubles on any platform
     xs = np.linspace(0.0, sol.problem.L, x_samples)
     rs = np.linspace(0.0, 1.0, r_levels)
+    lower = sol.lower.evaluate_grid(xs, rs).tolist()
+    upper = sol.upper.evaluate_grid(xs, rs).tolist()
+    r_text = [f"{r:.16e}" for r in rs.tolist()]
     rows = ["x,r,lower,upper"]
-    for x in xs:
-        for r in rs:
-            lo = float(sol.lower.evaluate(float(x), float(r)))
-            up = float(sol.upper.evaluate(float(x), float(r)))
-            rows.append(f"{_fmt(float(x))},{_fmt(float(r))},{_fmt(lo)},{_fmt(up)}")
+    for x, lo_row, up_row in zip(xs.tolist(), lower, upper):
+        x_text = f"{x:.16e}"
+        rows.extend(
+            f"{x_text},{r},{lo:.16e},{up:.16e}" for r, lo, up in zip(r_text, lo_row, up_row)
+        )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
@@ -359,14 +359,19 @@ def main(argv=None) -> int:
                         "and report the largest gap")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     args = parser.parse_args(argv)
-    return run(
-        args.problem,
-        case=args.case,
-        r_levels=args.r_levels,
-        x_samples=args.x_samples,
-        oracle=args.oracle,
-        out_dir=args.out,
-    )
+    try:
+        return run(
+            args.problem,
+            case=args.case,
+            r_levels=args.r_levels,
+            x_samples=args.x_samples,
+            oracle=args.oracle,
+            out_dir=args.out,
+        )
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

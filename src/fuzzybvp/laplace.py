@@ -132,6 +132,18 @@ class TermKind(enum.Enum):
 _KIND_ORDER = {TermKind.EXP: 0, TermKind.COS: 1, TermKind.SIN: 2,
                TermKind.COSH: 3, TermKind.SINH: 4}
 
+# The basis function of each kind, and the term-wise derivative rule
+# d/dx kind(k*x) = sign * k * kind'(k*x); EXP(0), the constant, has none.
+_BASIS = {TermKind.EXP: np.exp, TermKind.COS: np.cos, TermKind.SIN: np.sin,
+         TermKind.COSH: np.cosh, TermKind.SINH: np.sinh}
+_DERIVATIVE = {
+    TermKind.EXP: (TermKind.EXP, 1.0),
+    TermKind.COS: (TermKind.SIN, -1.0),
+    TermKind.SIN: (TermKind.COS, 1.0),
+    TermKind.COSH: (TermKind.SINH, 1.0),
+    TermKind.SINH: (TermKind.COSH, 1.0),
+}
+
 
 @dataclass(frozen=True)
 class ClosedFormTerm:
@@ -152,30 +164,13 @@ class ClosedFormTerm:
             raise ValueError(f"{self.kind.value} requires a positive rate, got {self.k}")
 
     def evaluate(self, x):
-        kx = self.k * x
-        if self.kind is TermKind.EXP:
-            return self.coeff * np.exp(kx)
-        if self.kind is TermKind.COS:
-            return self.coeff * np.cos(kx)
-        if self.kind is TermKind.SIN:
-            return self.coeff * np.sin(kx)
-        if self.kind is TermKind.COSH:
-            return self.coeff * np.cosh(kx)
-        return self.coeff * np.sinh(kx)
+        return self.coeff * _BASIS[self.kind](self.k * x)
 
     def derivative(self) -> "ClosedFormTerm | None":
-        k, c = self.k, self.coeff
-        if self.kind is TermKind.EXP:
-            if k == 0.0:
-                return None
-            return ClosedFormTerm(TermKind.EXP, k, c * k)
-        if self.kind is TermKind.COS:
-            return ClosedFormTerm(TermKind.SIN, k, -c * k)
-        if self.kind is TermKind.SIN:
-            return ClosedFormTerm(TermKind.COS, k, c * k)
-        if self.kind is TermKind.COSH:
-            return ClosedFormTerm(TermKind.SINH, k, c * k)
-        return ClosedFormTerm(TermKind.COSH, k, c * k)
+        if self.kind is TermKind.EXP and self.k == 0.0:
+            return None
+        kind, sign = _DERIVATIVE[self.kind]
+        return ClosedFormTerm(kind, self.k, sign * self.coeff * self.k)
 
 
 def _normalize_terms(terms) -> tuple[ClosedFormTerm, ...]:

@@ -34,6 +34,8 @@ from .laplace import (
     Polynomial,
     RationalFunction,
     TermKind,
+    _BASIS,
+    _DERIVATIVE,
     _KIND_ORDER,
     inverse_laplace,
 )
@@ -122,7 +124,46 @@ class RClosedForm:
         )
 
     def evaluate(self, x, r: float):
-        return self.fix_r(r).evaluate(x)
+        """Envelope at level r: a scalar for scalar x, else an array shaped like x."""
+        values = self.evaluate_grid(np.ravel(x), (r,))[:, 0]
+        return values[0] if np.ndim(x) == 0 else values.reshape(np.shape(x))
+
+    def evaluate_grid(self, xs, rs, derivative: int = 0) -> np.ndarray:
+        """The ``derivative``-th x-derivative on an x-by-r grid, shape (len(xs), len(rs)).
+
+        The coefficients c0 + c1*r are formed once per term over all levels
+        and each basis function once over all x. Terms are summed one by
+        one in canonical order, and a term whose coefficient is exactly
+        zero at a level is left out there, so every value is bit-identical
+        to ``fix_r(r)`` differentiated ``derivative`` times and evaluated at x.
+        """
+        xs = np.asarray(xs, dtype=float)
+        rs = np.asarray(rs, dtype=float)
+        coeffs: dict[tuple[TermKind, float], np.ndarray] = {}
+        for kind, k, coeff in self.terms:
+            cr = coeff(rs)
+            coeffs[(kind, k)] = coeffs[(kind, k)] + cr if (kind, k) in coeffs else cr
+        for _ in range(derivative):
+            coeffs = {
+                (_DERIVATIVE[kind][0], k): _DERIVATIVE[kind][1] * cr * k
+                for (kind, k), cr in coeffs.items()
+                if not (kind is TermKind.EXP and k == 0.0)
+            }
+        # -0.0 is the exact additive identity, so the first term enters
+        # the sum unchanged, sign of zero included
+        total = np.full((xs.size, rs.size), -0.0)
+        term = np.empty_like(total)
+        live = np.zeros(rs.size, dtype=bool)
+        for kind, k in sorted(coeffs, key=lambda key: (_KIND_ORDER[key[0]], key[1])):
+            cr = coeffs[(kind, k)]
+            nonzero = cr != 0.0
+            if not nonzero.any():
+                continue
+            np.multiply(_BASIS[kind](k * xs)[:, None], cr, out=term, where=nonzero)
+            np.add(total, term, out=total, where=nonzero)
+            live |= nonzero
+        total[:, ~live] = 0.0  # a level with no terms is the zero form
+        return total
 
 
 @dataclass(frozen=True)

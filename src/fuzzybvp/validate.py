@@ -69,43 +69,32 @@ def residual_ode(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> f
     """
     prob = sol.problem
     xs, rs = _grids(sol, x_count, r_count)
-    c_eff = prob.effective_c(sol.case)
-    worst = 0.0
-    for r in rs:
-        lo = sol.lower.fix_r(r)
-        up = sol.upper.fix_r(r)
-        if sol.case.is_mixed:
-            res_lo = prob.a * lo.differentiate().differentiate().evaluate(xs) + c_eff * up.evaluate(xs)
-            res_up = prob.a * up.differentiate().differentiate().evaluate(xs) + c_eff * lo.evaluate(xs)
-        else:
-            res_lo = (
-                prob.a * lo.differentiate().differentiate().evaluate(xs)
-                + prob.b * lo.differentiate().evaluate(xs)
-                + prob.c * lo.evaluate(xs)
-            )
-            res_up = (
-                prob.a * up.differentiate().differentiate().evaluate(xs)
-                + prob.b * up.differentiate().evaluate(xs)
-                + prob.c * up.evaluate(xs)
-            )
-        worst = max(worst, float(np.max(np.abs(res_lo))), float(np.max(np.abs(res_up))))
-    return worst
+    lo = [sol.lower.evaluate_grid(xs, rs, d) for d in range(3)]
+    up = [sol.upper.evaluate_grid(xs, rs, d) for d in range(3)]
+    if sol.case.is_mixed:
+        c_eff = prob.effective_c(sol.case)
+        res_lo = prob.a * lo[2] + c_eff * up[0]
+        res_up = prob.a * up[2] + c_eff * lo[0]
+    else:
+        res_lo = prob.a * lo[2] + prob.b * lo[1] + prob.c * lo[0]
+        res_up = prob.a * up[2] + prob.b * up[1] + prob.c * up[0]
+    return float(max(np.max(np.abs(res_lo)), np.max(np.abs(res_up))))
 
 
 def boundary_residual(sol: FuzzySolution, r_count: int = 11) -> float:
     """Largest endpoint mismatch against the prescribed boundary values."""
     prob = sol.problem
     rs = np.linspace(0.0, 1.0, r_count)
-    worst = 0.0
-    for r in rs:
-        worst = max(
-            worst,
-            abs(float(sol.lower.evaluate(0.0, r)) - prob.bc0.lower(r)),
-            abs(float(sol.upper.evaluate(0.0, r)) - prob.bc0.upper(r)),
-            abs(float(sol.lower.evaluate(prob.L, r)) - prob.bcL.lower(r)),
-            abs(float(sol.upper.evaluate(prob.L, r)) - prob.bcL.upper(r)),
-        )
-    return worst
+    ends = (0.0, prob.L)
+    lo = sol.lower.evaluate_grid(ends, rs)
+    up = sol.upper.evaluate_grid(ends, rs)
+    gaps = (
+        lo[0] - prob.bc0.lower(rs),
+        up[0] - prob.bc0.upper(rs),
+        lo[1] - prob.bcL.lower(rs),
+        up[1] - prob.bcL.upper(rs),
+    )
+    return float(np.max(np.abs(gaps)))
 
 
 def monotone_by_slope(sol: FuzzySolution, x_count: int = 101) -> tuple[bool, bool]:
@@ -130,8 +119,8 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
     if x_count < 2 or r_count < 2:
         raise ValueError("need at least a 2x2 grid")
     xs, rs = _grids(sol, x_count, r_count)
-    lower_vals = np.column_stack([sol.lower.evaluate(xs, r) for r in rs])
-    upper_vals = np.column_stack([sol.upper.evaluate(xs, r) for r in rs])
+    lower_vals = sol.lower.evaluate_grid(xs, rs)
+    upper_vals = sol.upper.evaluate_grid(xs, rs)
 
     monotone_lower = bool(np.all(np.diff(lower_vals, axis=1) >= -GRID_TOL))
     monotone_upper = bool(np.all(np.diff(upper_vals, axis=1) <= GRID_TOL))
@@ -226,10 +215,12 @@ def oracle_gap(sol: FuzzySolution, n: int = 10_000, r_values=(0.0, 0.5, 1.0)) ->
     """
     prob = sol.problem
     xs = np.linspace(0.0, prob.L, n + 1)
+    lo_grid = sol.lower.evaluate_grid(xs, r_values)
+    up_grid = sol.upper.evaluate_grid(xs, r_values)
     worst = 0.0
-    for r in r_values:
-        lo_vals = sol.lower.evaluate(xs, r)
-        up_vals = sol.upper.evaluate(xs, r)
+    for j, r in enumerate(r_values):
+        lo_vals = lo_grid[:, j]
+        up_vals = up_grid[:, j]
         if sol.case.is_mixed:
             kappa = -prob.effective_c(sol.case)
             v, w = fd_oracle_coupled(

@@ -1,15 +1,18 @@
 """Problem-file parsing, the run entry point, and its emitted artifacts."""
 
+import numpy as np
 import pytest
 
-from fuzzybvp import ProblemFormatError
+from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, solve
+from fuzzybvp import cli
 from fuzzybvp.cli import (
+    _write_csv,
     format_problem,
     main,
     parse_problem_text,
     run,
 )
-from test_solver import paper_H
+from test_solver import homogeneous_problem, paper_H, wave_problem
 
 WAVE_PROBLEM = """\
 # wave problem with fuzzy boundary values
@@ -244,3 +247,55 @@ class TestRun:
         out = tmp_path / "out"
         assert main([str(problem), "--case", "11", "--out", str(out)]) == 0
         assert main([str(problem), "--case", "12", "--out", str(out)]) == 1
+
+
+def _per_point_csv(sol, x_samples: int, r_levels: int) -> bytes:
+    """The CSV as a loop over single points through ``fix_r`` writes it."""
+    xs = np.linspace(0.0, sol.problem.L, x_samples)
+    rs = np.linspace(0.0, 1.0, r_levels)
+    rows = ["x,r,lower,upper"]
+    for x in xs:
+        for r in rs:
+            lo = float(sol.lower.fix_r(float(r)).evaluate(float(x)))
+            up = float(sol.upper.fix_r(float(r)).evaluate(float(x)))
+            rows.append(f"{float(x):.16e},{float(r):.16e},{lo:.16e},{up:.16e}")
+    return ("\n".join(rows) + "\n").encode("utf-8")
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize(
+        "problem",
+        [wave_problem(DiffCase.CASE_12), homogeneous_problem(DiffCase.CASE_11)],
+        ids=["wave-12", "homogeneous-11"],
+    )
+    @pytest.mark.parametrize("x_samples, r_levels", [(7, 4), (101, 11)])
+    def test_matches_per_point_loop(self, tmp_path, problem, x_samples, r_levels):
+        sol = solve(problem)
+        path = tmp_path / "case.csv"
+        _write_csv(path, sol, x_samples, r_levels)
+        assert path.read_bytes() == _per_point_csv(sol, x_samples, r_levels)
+
+    def test_identically_zero_branch(self, tmp_path):
+        zero = RClosedForm(())
+        sol = FuzzySolution(zero, zero, DiffCase.CASE_11, wave_problem(), {})
+        path = tmp_path / "case.csv"
+        _write_csv(path, sol, 5, 3)
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == 15
+        for row in rows:
+            assert row.split(",")[2:] == ["0.0000000000000000e+00"] * 2
+
+
+class TestInternalError:
+    def test_unexpected_exception_exit_3(self, tmp_path, capsys, monkeypatch):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(HOMOGENEOUS_PROBLEM)
+
+        def broken_solve(prob):
+            raise RuntimeError("solver exploded\nsecond line")
+
+        monkeypatch.setattr(cli, "solve", broken_solve)
+        assert main([str(problem), "--case", "11", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: internal: RuntimeError: solver exploded second line\n"
+        assert "Traceback" not in err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fuzzybvp import (
     ALL_CASES,
@@ -9,8 +11,11 @@ from fuzzybvp import (
     DiffCase,
     EigenvalueDegeneracyError,
     FuzzyBVP,
+    FuzzyBvpError,
     FuzzyNumber,
+    RClosedForm,
     RFun,
+    TermKind,
     UnsupportedProblemError,
     enumerate_cases,
     fd_oracle,
@@ -405,3 +410,106 @@ class TestDispatchAndEnumeration:
         results = enumerate_cases(prob)
         assert not any(r.solved for r in results)
         assert all(r.error.startswith("UnsupportedProblemError") for r in results)
+
+
+def _per_point(branch: RClosedForm, xs, rs, derivative: int) -> np.ndarray:
+    """Reference values: one ``fix_r`` closed form per level, one scalar x at a time."""
+    out = np.empty((len(xs), len(rs)))
+    for j, r in enumerate(rs):
+        form = branch.fix_r(float(r))
+        for _ in range(derivative):
+            form = form.differentiate()
+        for i, x in enumerate(xs):
+            out[i, j] = float(form.evaluate(float(x)))
+    return out
+
+
+def _assert_grid_matches_per_point(branch: RClosedForm, xs, rs) -> None:
+    for derivative in (0, 1, 2):
+        grid = branch.evaluate_grid(xs, rs, derivative)
+        assert grid.shape == (len(xs), len(rs))
+        assert grid.tobytes() == _per_point(branch, xs, rs, derivative).tobytes()
+
+
+_coef = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def solvable_problems(draw):
+    """A problem of one case the closed form solves, with k*L <= 7."""
+    case = draw(st.sampled_from(ALL_CASES))
+    a = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    L = draw(st.floats(0.1, 3.0))
+    if case.is_mixed or draw(st.booleans()):
+        # a*y'' = kappa*a*y: cosh/sinh, or cos/sin when kappa < 0 (11/22 only)
+        k = draw(st.floats(0.05, 7.0)) / L
+        sign = 1.0 if case.is_mixed else draw(st.sampled_from((-1.0, 1.0)))
+        b, c = 0.0, -sign * a * k * k
+    else:
+        # two distinct real characteristic roots m1, m2
+        m1 = draw(st.floats(-7.0, 7.0)) / L
+        m2 = m1 + draw(st.floats(0.2, 7.0)) / L * draw(st.sampled_from((-1.0, 1.0)))
+        assume(abs(m2) * L <= 7.0)
+        b, c = -a * (m1 + m2), a * m1 * m2
+    lo0, lo1, up0, up1 = draw(_coef), draw(st.floats(0.0, 3.0)), draw(_coef), draw(st.floats(0.0, 3.0))
+    bc0 = FuzzyNumber(RFun(lo0 - lo1, lo1), RFun(max(lo0, up0) + up1, -up1))
+    lo0, lo1, up0, up1 = draw(_coef), draw(st.floats(0.0, 3.0)), draw(_coef), draw(st.floats(0.0, 3.0))
+    bcL = FuzzyNumber(RFun(lo0 - lo1, lo1), RFun(max(lo0, up0) + up1, -up1))
+    return FuzzyBVP(a=a, b=b, c=c, L=L, bc0=bc0, bcL=bcL, case=case)
+
+
+class TestEvaluateGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(prob=solvable_problems(), x_count=st.integers(2, 9), r_count=st.integers(2, 6))
+    def test_bit_identical_to_per_point_fix_r(self, prob, x_count, r_count):
+        try:
+            sol = solve(prob)
+        except FuzzyBvpError:
+            assume(False)
+        xs = np.linspace(0.0, prob.L, x_count)
+        rs = np.linspace(0.0, 1.0, r_count)
+        _assert_grid_matches_per_point(sol.lower, xs, rs)
+        _assert_grid_matches_per_point(sol.upper, xs, rs)
+
+    def test_coefficient_zero_at_one_level_is_masked(self):
+        rs = np.linspace(0.0, 1.0, 5)
+        xs = np.linspace(0.0, 2.0, 7)
+        # each coefficient vanishes at exactly one level, the others live there
+        partial = RClosedForm((
+            (TermKind.EXP, 0.0, RFun(0.5, -1.0)),
+            (TermKind.COS, 1.5, RFun(-1.0, 2.0)),
+            (TermKind.SIN, 1.5, RFun(1.0, -4.0)),
+            (TermKind.SINH, 0.7, RFun(-3.0, 4.0)),
+        ))
+        _assert_grid_matches_per_point(partial, xs, rs)
+        # every coefficient vanishes at r = 0.5: that level is the zero form
+        dead_level = RClosedForm((
+            (TermKind.EXP, 0.0, RFun(0.5, -1.0)),
+            (TermKind.COS, 1.5, RFun(-1.0, 2.0)),
+            (TermKind.SINH, 0.7, RFun(2.0, -4.0)),
+        ))
+        _assert_grid_matches_per_point(dead_level, xs, rs)
+        assert not np.signbit(dead_level.evaluate_grid(xs, rs)[:, 2]).any()
+        # -1*sin(0) = -0.0 is the whole value at x = 0 and keeps its sign
+        sine = RClosedForm(((TermKind.SIN, 1.0, RFun(-1.0)),))
+        _assert_grid_matches_per_point(sine, xs, rs)
+        assert np.signbit(sine.evaluate_grid(xs, rs)[0]).all()
+
+    def test_identically_zero_branch(self):
+        branch = RClosedForm(((TermKind.COSH, 1.0, RFun(0.0, 0.0)),))
+        assert branch.terms == ()
+        xs = np.linspace(0.0, 1.0, 4)
+        rs = np.linspace(0.0, 1.0, 3)
+        for derivative in (0, 1, 2):
+            grid = branch.evaluate_grid(xs, rs, derivative)
+            assert grid.tobytes() == np.zeros((4, 3)).tobytes()
+        assert branch.evaluate(0.5, 0.5) == 0.0
+        assert branch.evaluate(xs, 0.5).tobytes() == np.zeros(4).tobytes()
+
+    def test_evaluate_shapes(self):
+        sol = solve(wave_problem())
+        assert np.ndim(sol.lower.evaluate(0.3, 0.5)) == 0
+        xs = np.linspace(0.0, 1.0, 11)
+        values = sol.lower.evaluate(xs, 0.5)
+        assert values.shape == (11,)
+        assert values.tobytes() == sol.lower.evaluate_grid(xs, [0.5])[:, 0].tobytes()
