@@ -24,23 +24,23 @@ from .laplace import (
 )
 from .solver import (
     ALL_CASES,
-    CaseResult,
     DiffCase,
     FuzzyBVP,
     FuzzySolution,
     RClosedForm,
-    enumerate_cases,
     solve,
     solve_coupled,
     solve_uncoupled,
     transform_bvp,
 )
 from .validate import (
+    CaseResult,
     ValidityReport,
+    check_case,
     check_level_set,
+    enumerate_cases,
     fd_oracle,
     fd_oracle_coupled,
-    monotone_by_slope,
     oracle_gap,
     residual_ode,
 )
@@ -69,6 +69,7 @@ __all__ = [
     "UnsupportedProblemError",
     "ValidityReport",
     "add",
+    "check_case",
     "check_level_set",
     "enumerate_cases",
     "fd_oracle",
@@ -77,7 +78,6 @@ __all__ = [
     "h_difference",
     "hausdorff",
     "inverse_laplace",
-    "monotone_by_slope",
     "oracle_gap",
     "partial_fractions",
     "residual_ode",

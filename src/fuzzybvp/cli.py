@@ -19,16 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FuzzyBvpError, InvalidFuzzyNumberError, ProblemFormatError
+from .errors import InvalidFuzzyNumberError, ProblemFormatError
 from .fuzzy import FuzzyNumber, RFun, triangular
-from .solver import (
-    CaseResult,
-    DiffCase,
-    FuzzyBVP,
-    enumerate_cases,
-    solve,
-)
-from .validate import check_level_set, with_oracle_gap
+from .solver import ALL_CASES, DiffCase, FuzzyBVP
+from .validate import CaseResult, check_case, oracle_gap
 
 CASE_CHOICES = ("11", "22", "12", "21", "all")
 
@@ -217,20 +211,12 @@ def format_problem(spec: ProblemSpec) -> str:
 
 
 def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
-    if spec.case_request == "all":
-        results = enumerate_cases(spec.to_bvp(), x_count=spec.x_samples, r_count=spec.r_levels)
-    else:
-        case = DiffCase(spec.case_request)
-        try:
-            sol = solve(spec.to_bvp(case))
-        except FuzzyBvpError as exc:
-            results = [CaseResult(case, None, f"{type(exc).__name__}: {exc}", None)]
-        else:
-            report = check_level_set(sol, x_count=spec.x_samples, r_count=spec.r_levels)
-            results = [CaseResult(case, sol, None, report)]
+    cases = ALL_CASES if spec.case_request == "all" else (DiffCase(spec.case_request),)
+    prob = spec.to_bvp()
+    results = [check_case(prob, case, spec.x_samples, spec.r_levels) for case in cases]
     if oracle:
         results = [
-            replace(res, report=with_oracle_gap(res.report, res.solution))
+            replace(res, report=replace(res.report, oracle_max_gap=oracle_gap(res.solution)))
             if res.solved
             else res
             for res in results

@@ -9,6 +9,7 @@ rather than extending the basis with polynomial-weighted terms.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -319,9 +320,16 @@ def inverse_laplace(f: RationalFunction) -> ClosedForm:
     Real roots become exponentials, with exact +/- pairs collapsed to
     cosh/sinh; pure-imaginary conjugate pairs become cos/sin. Roots with
     both parts nonzero would need exponentially damped oscillations the
-    basis does not contain, so they are rejected.
+    basis does not contain, so they are rejected, and so are non-finite
+    roots or residues, which coefficients near the double-precision range
+    produce.
     """
     pairs = partial_fractions(f)
+    if not all(cmath.isfinite(res) and cmath.isfinite(root) for res, root in pairs):
+        raise UnsupportedProblemError(
+            f"non-finite root or residue for denominator {f.denominator.coeffs}: "
+            "the coefficients are too large for double precision"
+        )
     terms: list[ClosedFormTerm] = []
     consumed = [False] * len(pairs)
 

@@ -11,20 +11,22 @@ swap. Cases 11 and 22 decouple the branches. The mixed cases 12 and 21
 couple them, and the sum and difference of the branches decouple them
 again. Every case thus reduces to two calls of one scalar two-point
 kernel, ``_solve_branch``.
+
+This module only solves. Checking a solution, and running the cases side
+by side, is ``validate``'s job; nothing here imports it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     CaseInapplicableError,
     EigenvalueDegeneracyError,
-    FuzzyBvpError,
     UnsupportedProblemError,
 )
 from .fuzzy import FuzzyNumber, RFun
@@ -115,12 +117,6 @@ class RClosedForm:
     def fix_r(self, r: float) -> ClosedForm:
         return ClosedForm(
             tuple(ClosedFormTerm(kind, k, coeff(r)) for kind, k, coeff in self.terms)
-        )
-
-    def r_slope(self) -> ClosedForm:
-        """d/dr of the envelope; a plain closed form since coefficients are affine."""
-        return ClosedForm(
-            tuple(ClosedFormTerm(kind, k, coeff.c1) for kind, k, coeff in self.terms)
         )
 
     def evaluate(self, x, r: float):
@@ -343,38 +339,3 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
     if prob.case.is_mixed:
         return solve_coupled(prob)
     return solve_uncoupled(prob)
-
-
-@dataclass(frozen=True)
-class CaseResult:
-    """Outcome of one differentiability case inside an enumeration."""
-
-    case: DiffCase
-    solution: FuzzySolution | None
-    error: str | None
-    report: "object | None"  # ValidityReport; kept loose to avoid an import cycle
-
-    @property
-    def solved(self) -> bool:
-        return self.solution is not None
-
-
-def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> list[CaseResult]:
-    """Run all four cases and attach validity reports; failures become values.
-
-    The level-set criterion decides which differentiability case yields a
-    usable solution, so callers typically want all four side by side.
-    """
-    from .validate import check_level_set  # deferred: validate imports solver types
-
-    results = []
-    for case in ALL_CASES:
-        tagged = replace(prob, case=case)
-        try:
-            sol = solve(tagged)
-        except FuzzyBvpError as exc:
-            results.append(CaseResult(case, None, f"{type(exc).__name__}: {exc}", None))
-            continue
-        report = check_level_set(sol, x_count=x_count, r_count=r_count)
-        results.append(CaseResult(case, sol, None, report))
-    return results

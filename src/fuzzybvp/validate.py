@@ -1,11 +1,18 @@
-"""Level-set validity checks, residual measurement, and an independent
-finite-difference oracle for crisp cross-checks.
+"""The level-set verdict per differentiability case, residual measurement,
+and an independent finite-difference oracle for crisp cross-checks.
 
 A solution envelope is a valid level set when, at every point of the
 domain, the lower branch is non-decreasing in the membership level r, the
-upper branch is non-increasing, and lower <= upper. Solutions violating
-this are reported, not rejected: which differentiability case produces a
-valid level set is exactly what a caller wants to inspect.
+upper branch is non-increasing, and lower <= upper. ``check_level_set`` is
+the one verdict. It evaluates each envelope and its first two x-derivatives
+once on an x-by-r grid and reads the monotonicity and ordering flags and
+both residuals from those arrays. The envelopes are affine in r, so the
+r-grid decides the r-conditions exactly; in x the verdict is sampled.
+
+Solutions violating the conditions are reported, not rejected: which
+differentiability case produces a valid level set is exactly what a caller
+wants to inspect. ``check_case`` solves one case and checks it, turning a
+refusal into a value, and ``enumerate_cases`` runs it for all four.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EigenvalueDegeneracyError
-from .solver import FuzzySolution
+from .errors import EigenvalueDegeneracyError, FuzzyBvpError
+from .solver import ALL_CASES, DiffCase, FuzzyBVP, FuzzySolution, solve
 
 # Slack for the discrete monotonicity/ordering tests.
 GRID_TOL = 1e-10
@@ -53,24 +60,21 @@ class ValidityReport:
         return "\n".join(lines)
 
 
-def _grids(sol: FuzzySolution, x_count: int, r_count: int):
+def _envelope_grids(sol: FuzzySolution, x_count: int, r_count: int):
+    """The levels and, per branch, the envelope and its first two x-derivatives.
+
+    Each array has shape (x_count, r_count); ``np.linspace`` makes the first
+    and last rows lie exactly at x = 0 and x = L.
+    """
     xs = np.linspace(0.0, sol.problem.L, x_count)
     rs = np.linspace(0.0, 1.0, r_count)
-    return xs, rs
+    lower = [sol.lower.evaluate_grid(xs, rs, d) for d in range(3)]
+    upper = [sol.upper.evaluate_grid(xs, rs, d) for d in range(3)]
+    return rs, lower, upper
 
 
-def residual_ode(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> float:
-    """Largest pointwise residual of the governing equation on the grid.
-
-    Decoupled cases measure |a*y'' + b*y' + c*y| per branch; the mixed
-    cases measure the coupled pair |a*lower'' + c_eff*upper| and
-    |a*upper'' + c_eff*lower|. Derivatives are exact term-wise rules, so
-    this is a genuine substitution check, not a finite difference.
-    """
+def _max_ode_residual(sol: FuzzySolution, lo: list[np.ndarray], up: list[np.ndarray]) -> float:
     prob = sol.problem
-    xs, rs = _grids(sol, x_count, r_count)
-    lo = [sol.lower.evaluate_grid(xs, rs, d) for d in range(3)]
-    up = [sol.upper.evaluate_grid(xs, rs, d) for d in range(3)]
     if sol.case.is_mixed:
         c_eff = prob.effective_c(sol.case)
         res_lo = prob.a * lo[2] + c_eff * up[0]
@@ -81,59 +85,77 @@ def residual_ode(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> f
     return float(max(np.max(np.abs(res_lo)), np.max(np.abs(res_up))))
 
 
-def boundary_residual(sol: FuzzySolution, r_count: int = 11) -> float:
-    """Largest endpoint mismatch against the prescribed boundary values."""
-    prob = sol.problem
-    rs = np.linspace(0.0, 1.0, r_count)
-    ends = (0.0, prob.L)
-    lo = sol.lower.evaluate_grid(ends, rs)
-    up = sol.upper.evaluate_grid(ends, rs)
-    gaps = (
-        lo[0] - prob.bc0.lower(rs),
-        up[0] - prob.bc0.upper(rs),
-        lo[1] - prob.bcL.lower(rs),
-        up[1] - prob.bcL.upper(rs),
-    )
-    return float(np.max(np.abs(gaps)))
+def residual_ode(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> float:
+    """Largest pointwise residual of the governing equation on the grid.
 
-
-def monotone_by_slope(sol: FuzzySolution, x_count: int = 101) -> tuple[bool, bool]:
-    """Monotonicity via the exact r-derivative of the affine coefficients.
-
-    Returns (lower non-decreasing, upper non-increasing). Because the
-    envelopes are affine in r, the sign of the slope closed form decides
-    monotonicity outright; the grid test in check_level_set remains the
-    authoritative verdict in reports (it also covers non-affine data).
+    Decoupled cases measure |a*y'' + b*y' + c*y| per branch; the mixed
+    cases measure the coupled pair |a*lower'' + c_eff*upper| and
+    |a*upper'' + c_eff*lower|. Derivatives are exact term-wise rules, so
+    this is a genuine substitution check, not a finite difference.
     """
-    xs = np.linspace(0.0, sol.problem.L, x_count)
-    lower_slope = np.atleast_1d(sol.lower.r_slope().evaluate(xs))
-    upper_slope = np.atleast_1d(sol.upper.r_slope().evaluate(xs))
-    return (
-        bool(np.all(lower_slope >= -GRID_TOL)),
-        bool(np.all(upper_slope <= GRID_TOL)),
-    )
+    _, lo, up = _envelope_grids(sol, x_count, r_count)
+    return _max_ode_residual(sol, lo, up)
 
 
 def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> ValidityReport:
-    """Test the level-set conditions on an x-by-r grid and collect residuals."""
+    """Test the level-set conditions on an x-by-r grid and collect residuals.
+
+    The envelopes are affine in r, so the r-grid (which holds r = 0 and
+    r = 1) settles monotonicity and ordering for every level; in x the
+    conditions are checked at the ``x_count`` samples only.
+    """
     if x_count < 2 or r_count < 2:
         raise ValueError("need at least a 2x2 grid")
-    xs, rs = _grids(sol, x_count, r_count)
-    lower_vals = sol.lower.evaluate_grid(xs, rs)
-    upper_vals = sol.upper.evaluate_grid(xs, rs)
-
-    monotone_lower = bool(np.all(np.diff(lower_vals, axis=1) >= -GRID_TOL))
-    monotone_upper = bool(np.all(np.diff(upper_vals, axis=1) <= GRID_TOL))
-    ordered = bool(np.all(lower_vals <= upper_vals + GRID_TOL))
-
+    prob = sol.problem
+    rs, lo, up = _envelope_grids(sol, x_count, r_count)
+    boundary_gaps = (
+        lo[0][0] - prob.bc0.lower(rs),
+        up[0][0] - prob.bc0.upper(rs),
+        lo[0][-1] - prob.bcL.lower(rs),
+        up[0][-1] - prob.bcL.upper(rs),
+    )
     return ValidityReport(
-        monotone_lower_in_r=monotone_lower,
-        monotone_upper_in_r=monotone_upper,
-        ordered=ordered,
-        max_ode_residual=residual_ode(sol, x_count, r_count),
-        max_boundary_residual=boundary_residual(sol, r_count),
+        monotone_lower_in_r=bool(np.all(np.diff(lo[0], axis=1) >= -GRID_TOL)),
+        monotone_upper_in_r=bool(np.all(np.diff(up[0], axis=1) <= GRID_TOL)),
+        ordered=bool(np.all(lo[0] <= up[0] + GRID_TOL)),
+        max_ode_residual=_max_ode_residual(sol, lo, up),
+        max_boundary_residual=float(np.max(np.abs(boundary_gaps))),
         grid=(x_count, r_count),
     )
+
+
+@dataclass(frozen=True)
+class CaseResult:
+    """Outcome of one differentiability case: a checked solution or an error."""
+
+    case: DiffCase
+    solution: FuzzySolution | None
+    error: str | None
+    report: ValidityReport | None
+
+    @property
+    def solved(self) -> bool:
+        return self.solution is not None
+
+
+def check_case(
+    prob: FuzzyBVP, case: DiffCase, x_count: int = 101, r_count: int = 11
+) -> CaseResult:
+    """Solve ``prob`` under ``case`` and check the solution; a refusal becomes a value."""
+    try:
+        sol = solve(replace(prob, case=case))
+    except FuzzyBvpError as exc:
+        return CaseResult(case, None, f"{type(exc).__name__}: {exc}", None)
+    return CaseResult(case, sol, None, check_level_set(sol, x_count, r_count))
+
+
+def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> list[CaseResult]:
+    """Run all four cases and attach validity reports; failures become values.
+
+    The level-set criterion decides which differentiability case yields a
+    usable solution, so callers typically want all four side by side.
+    """
+    return [check_case(prob, case, x_count, r_count) for case in ALL_CASES]
 
 
 def _thomas(sub: float, diag: float, sup: float, rhs: np.ndarray) -> np.ndarray:
@@ -251,7 +273,3 @@ def oracle_gap(sol: FuzzySolution, n: int = 10_000, r_values=(0.0, 0.5, 1.0)) ->
                 float(np.max(np.abs(up_vals - up_fd))),
             )
     return worst
-
-
-def with_oracle_gap(report: ValidityReport, sol: FuzzySolution, n: int = 10_000) -> ValidityReport:
-    return replace(report, oracle_max_gap=oracle_gap(sol, n=n))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, solve
-from fuzzybvp import cli
+from fuzzybvp import cli, validate
 from fuzzybvp.cli import (
     _write_csv,
     format_problem,
@@ -241,6 +241,33 @@ class TestRun:
         assert all("failed: UnsupportedProblemError" in line for line in err)
         assert (out / "report.txt").read_text().count("solved = false") == 4
 
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [("a = 1\n", "a = 1e308\n"), ("c = -1\n", "c = -1e308\n")],
+            [
+                ("a = 1\n", "a = 1e10\n"), ("c = -1\n", "c = -1e10\n"),
+                ("lower = 1 1", "lower = 1e299 1e299"), ("upper = 3 -1", "upper = 3e299 -1e299"),
+                ("lower = 4 1", "lower = 4e299 1e299"), ("upper = 6 -1", "upper = 6e299 -1e299"),
+            ],
+        ],
+        ids=["nan-roots", "inf-residue"],
+    )
+    def test_overflowing_transform_exit_1(self, tmp_path, capsys, edits):
+        text = WAVE_PROBLEM
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text)
+        assert main([str(problem), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            f"case {tag} failed" for tag in ("11", "22", "12", "21")
+        ]
+        assert all("UnsupportedProblemError" in line for line in err)
+        assert not any("error: internal" in line for line in err)
+
     def test_main_entry_point(self, tmp_path):
         problem = tmp_path / "problem.txt"
         problem.write_text(HOMOGENEOUS_PROBLEM)
@@ -294,7 +321,7 @@ class TestInternalError:
         def broken_solve(prob):
             raise RuntimeError("solver exploded\nsecond line")
 
-        monkeypatch.setattr(cli, "solve", broken_solve)
+        monkeypatch.setattr(validate, "solve", broken_solve)
         assert main([str(problem), "--case", "11", "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
         assert err == "error: internal: RuntimeError: solver exploded second line\n"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from fuzzybvp import (
+    ALL_CASES,
+    CaseResult,
     DiffCase,
     EigenvalueDegeneracyError,
     FuzzyBVP,
@@ -13,16 +15,28 @@ from fuzzybvp import (
     RClosedForm,
     RFun,
     check_level_set,
+    enumerate_cases,
     fd_oracle,
     fd_oracle_coupled,
-    monotone_by_slope,
     oracle_gap,
     residual_ode,
     solve,
 )
+from test_solver import homogeneous_problem, wave_problem
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))
+
+# Finite input whose transform overflows: NaN roots (a*c overflows in the
+# discriminant), and an inf cosh residue (a times boundary data near 1e299).
+EXTREME_PROBLEMS = {
+    "nan-roots": FuzzyBVP(a=1e308, b=0.0, c=-1e308, L=1.0, bc0=BC0, bcL=BCL),
+    "inf-residue": FuzzyBVP(
+        a=1e10, b=0.0, c=-1e10, L=1.0,
+        bc0=FuzzyNumber(RFun(1e299, 1e299), RFun(3e299, -1e299)),
+        bcL=FuzzyNumber(RFun(4e299, 1e299), RFun(6e299, -1e299)),
+    ),
+}
 
 
 def wave_solution(case=DiffCase.CASE_11):
@@ -55,6 +69,8 @@ class TestCheckLevelSet:
         report = check_level_set(swapped)
         assert not report.ordered
         assert not report.valid_level_set
+        assert not report.monotone_lower_in_r
+        assert not report.monotone_upper_in_r
 
     def test_failure_persists_under_grid_refinement(self):
         sol = wave_solution()
@@ -74,22 +90,51 @@ class TestCheckLevelSet:
         with pytest.raises(ValueError):
             check_level_set(wave_solution(), x_count=1, r_count=11)
 
-    def test_slope_test_agrees_with_grid_test(self):
-        # the exact affine-slope variant and the authoritative grid test
-        # must agree on affine data, in both directions
-        sol = wave_solution()
-        report = check_level_set(sol)
-        lo_ok, up_ok = monotone_by_slope(sol)
-        assert (lo_ok, up_ok) == (report.monotone_lower_in_r, report.monotone_upper_in_r)
 
-        swapped = replace(sol, lower=sol.upper, upper=sol.lower)
-        swapped_report = check_level_set(swapped)
-        lo_ok, up_ok = monotone_by_slope(swapped)
-        assert (lo_ok, up_ok) == (
-            swapped_report.monotone_lower_in_r,
-            swapped_report.monotone_upper_in_r,
-        )
-        assert not lo_ok and not up_ok
+def _endpoint_boundary_residual(sol, r_count: int) -> float:
+    """Boundary residual from a separate evaluation at x = 0 and x = L only."""
+    prob = sol.problem
+    rs = np.linspace(0.0, 1.0, r_count)
+    lo = sol.lower.evaluate_grid((0.0, prob.L), rs)
+    up = sol.upper.evaluate_grid((0.0, prob.L), rs)
+    gaps = (
+        lo[0] - prob.bc0.lower(rs),
+        up[0] - prob.bc0.upper(rs),
+        lo[1] - prob.bcL.lower(rs),
+        up[1] - prob.bcL.upper(rs),
+    )
+    return float(np.max(np.abs(gaps)))
+
+
+SOLVABLE = [(wave_problem, case) for case in ALL_CASES] + [
+    (homogeneous_problem, DiffCase.CASE_11),
+    (homogeneous_problem, DiffCase.CASE_22),
+]
+
+
+class TestOnePass:
+    """check_level_set reads both residuals off its own grid, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make, case", SOLVABLE, ids=[f"{m.__name__}-{c.tag}" for m, c in SOLVABLE]
+    )
+    @pytest.mark.parametrize("x_count, r_count", [(101, 11), (7, 4)])
+    def test_residuals_match_separate_evaluations(self, make, case, x_count, r_count):
+        sol = solve(make(case))
+        report = check_level_set(sol, x_count, r_count)
+        assert report.max_ode_residual == residual_ode(sol, x_count, r_count)
+        assert report.max_boundary_residual == _endpoint_boundary_residual(sol, r_count)
+
+
+class TestCheckCase:
+    @pytest.mark.parametrize("name", sorted(EXTREME_PROBLEMS))
+    def test_overflowing_transform_fails_every_case(self, name):
+        results = enumerate_cases(EXTREME_PROBLEMS[name])
+        assert [r.case for r in results] == list(ALL_CASES)
+        for res in results:
+            assert isinstance(res, CaseResult)
+            assert not res.solved and res.report is None
+            assert res.error.startswith("UnsupportedProblemError: non-finite root or residue")
 
 
 class TestResiduals:
