@@ -158,71 +158,89 @@ def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> li
     return [check_case(prob, case, x_count, r_count) for case in ALL_CASES]
 
 
-def _thomas(sub: float, diag: float, sup: float, rhs: np.ndarray) -> np.ndarray:
-    """Constant-coefficient tridiagonal solve with zero-pivot detection."""
-    m = len(rhs)
+def _thomas(sub: float, diag: float, sup: float, rhs: np.ndarray) -> None:
+    """Constant-coefficient tridiagonal solve of every column of ``rhs``, in place.
+
+    The pivots are formed once, in Python floats, with zero-pivot detection;
+    each column is then swept with the textbook recurrences in their usual
+    order, so it gets the same bits as a solve of that column alone. Only
+    the pivots are kept: each multiplier ``sup / pivot`` is recomputed.
+    """
+    m = rhs.shape[0]
     scale = max(abs(sub), abs(diag), abs(sup), 1.0)
-    w = np.empty(m)
-    g = np.empty(m)
+    pivots = []
     pivot = diag
-    if abs(pivot) <= 1e-13 * scale:
-        raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
-    w[0] = sup / pivot
-    g[0] = rhs[0] / pivot
-    for i in range(1, m):
-        pivot = diag - sub * w[i - 1]
+    for i in range(m):
+        if i:
+            pivot = diag - sub * (sup / pivot)
         if abs(pivot) <= 1e-13 * scale:
             raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
-        w[i] = sup / pivot
-        g[i] = (rhs[i] - sub * g[i - 1]) / pivot
-    y = np.empty(m)
-    y[-1] = g[-1]
-    for i in range(m - 2, -1, -1):
-        y[i] = g[i] - w[i] * y[i + 1]
-    return y
+        pivots.append(pivot)
+    for j in range(rhs.shape[1]):
+        col = rhs[:, j]
+        g = col.tolist()
+        gi = g[0] = g[0] / pivots[0]
+        for i in range(1, m):
+            gi = g[i] = (g[i] - sub * gi) / pivots[i]
+        for i in range(m - 2, -1, -1):
+            gi = g[i] = g[i] - sup / pivots[i] * gi
+        col[:] = g
 
 
-def fd_oracle(
-    a: float, b: float, c: float, L: float, y0: float, yL: float, n: int
-) -> np.ndarray:
+def _boundary_arrays(*values) -> list[np.ndarray]:
+    """Float arrays of the boundary values, all scalars or all 1-D of one length."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shapes = [x.shape for x in arrays]
+    if arrays[0].ndim > 1 or len(set(shapes)) > 1:
+        raise ValueError(
+            f"boundary values must be scalars or 1-D sequences of equal length, got shapes {shapes}"
+        )
+    return arrays
+
+
+def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndarray:
     """Second-order central-difference solve of a*y'' + b*y' + c*y = 0.
 
-    Returns the n+1 grid values including both boundaries. Accuracy is
-    O((L/n)^2); this is the independent check for the closed-form pipeline
-    and shares none of its machinery.
+    ``y0`` and ``yL`` are two scalars, or two 1-D sequences of equal length
+    holding one boundary pair per column. Returns the n+1 grid values
+    including both boundaries, with shape (n+1,) for scalars and (n+1, k)
+    for k pairs. The matrix is factored once and every column is solved
+    against it, with the same bits as a solve of that pair alone. Accuracy
+    is O((L/n)^2); this is the independent check for the closed-form
+    pipeline and shares none of its machinery.
     """
     if n < 16:
         raise ValueError(f"need at least 16 intervals, got {n}")
     if a == 0.0:
         raise ValueError("leading coefficient a must be nonzero")
+    y0, yL = _boundary_arrays(y0, yL)
     h = L / n
     sub = a / h**2 - b / (2.0 * h)
     diag = c - 2.0 * a / h**2
     sup = a / h**2 + b / (2.0 * h)
-    rhs = np.zeros(n - 1)
-    rhs[0] -= sub * y0
-    rhs[-1] -= sup * yL
-    interior = _thomas(sub, diag, sup, rhs)
-    return np.concatenate(([y0], interior, [yL]))
+    out = np.zeros((n + 1, y0.size))
+    out[0] = y0
+    out[-1] = yL
+    out[1] -= sub * y0
+    out[-2] -= sup * yL
+    _thomas(sub, diag, sup, out[1:-1])
+    return out if y0.ndim else out[:, 0]
 
 
 def fd_oracle_coupled(
-    a: float,
-    kappa: float,
-    L: float,
-    v0: float,
-    w0: float,
-    vL: float,
-    wL: float,
-    n: int,
+    a: float, kappa: float, L: float, v0, w0, vL, wL, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference solve of the coupled pair a*v'' = kappa*w, a*w'' = kappa*v.
 
     The sum s = v + w solves a*s'' - kappa*s = 0 and the difference
     d = v - w solves a*d'' + kappa*d = 0. The three-point stencil commutes
     with this change of variables, so two scalar solves recombined as
-    v = (s + d)/2, w = (s - d)/2 are the coupled scheme's solution.
+    v = (s + d)/2, w = (s - d)/2 are the coupled scheme's solution. The
+    boundary values follow ``fd_oracle``'s rule: scalars or equal-length
+    sequences, one column per boundary set, so each of the two matrices
+    is factored once however many columns there are.
     """
+    v0, w0, vL, wL = _boundary_arrays(v0, w0, vL, wL)
     s = fd_oracle(a, 0.0, -kappa, L, v0 + w0, vL + wL, n)
     d = fd_oracle(a, 0.0, kappa, L, v0 - w0, vL - wL, n)
     return (s + d) / 2.0, (s - d) / 2.0
@@ -233,43 +251,22 @@ def oracle_gap(sol: FuzzySolution, n: int = 10_000, r_values=(0.0, 0.5, 1.0)) ->
 
     At each fixed r the envelopes solve a crisp problem the oracle can
     reproduce: the branch equations directly for cases 11/22, the coupled
-    pair for the mixed cases.
+    pair for the mixed cases. All levels go to the oracle as columns of one
+    call, so each stencil is factored once: one ``fd_oracle`` call with a
+    lower and an upper column per level for cases 11/22, one
+    ``fd_oracle_coupled`` call for the mixed cases.
     """
     prob = sol.problem
+    rs = np.asarray(r_values, dtype=float)
+    lo0, up0 = prob.bc0.lower(rs), prob.bc0.upper(rs)
+    loL, upL = prob.bcL.lower(rs), prob.bcL.upper(rs)
+    if sol.case.is_mixed:
+        kappa = -prob.effective_c(sol.case)
+        fd = np.hstack(fd_oracle_coupled(prob.a, kappa, prob.L, lo0, up0, loL, upL, n))
+    else:
+        bc0, bcL = np.concatenate((lo0, up0)), np.concatenate((loL, upL))
+        fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc0, bcL, n)
     xs = np.linspace(0.0, prob.L, n + 1)
-    lo_grid = sol.lower.evaluate_grid(xs, r_values)
-    up_grid = sol.upper.evaluate_grid(xs, r_values)
-    worst = 0.0
-    for j, r in enumerate(r_values):
-        lo_vals = lo_grid[:, j]
-        up_vals = up_grid[:, j]
-        if sol.case.is_mixed:
-            kappa = -prob.effective_c(sol.case)
-            v, w = fd_oracle_coupled(
-                prob.a,
-                kappa,
-                prob.L,
-                prob.bc0.lower(r),
-                prob.bc0.upper(r),
-                prob.bcL.lower(r),
-                prob.bcL.upper(r),
-                n,
-            )
-            worst = max(
-                worst,
-                float(np.max(np.abs(lo_vals - v))),
-                float(np.max(np.abs(up_vals - w))),
-            )
-        else:
-            lo_fd = fd_oracle(
-                prob.a, prob.b, prob.c, prob.L, prob.bc0.lower(r), prob.bcL.lower(r), n
-            )
-            up_fd = fd_oracle(
-                prob.a, prob.b, prob.c, prob.L, prob.bc0.upper(r), prob.bcL.upper(r), n
-            )
-            worst = max(
-                worst,
-                float(np.max(np.abs(lo_vals - lo_fd))),
-                float(np.max(np.abs(up_vals - up_fd))),
-            )
-    return worst
+    fd[:, : rs.size] -= sol.lower.evaluate_grid(xs, rs)
+    fd[:, rs.size :] -= sol.upper.evaluate_grid(xs, rs)
+    return float(np.max(np.abs(fd, out=fd), initial=0.0))

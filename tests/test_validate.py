@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fuzzybvp import (
     ALL_CASES,
@@ -261,3 +263,126 @@ class TestOracleGap:
         bumped = (kind, k, RFun(coeff.c0 + 0.5, coeff.c1))
         bad = replace(sol, lower=RClosedForm((bumped,) + sol.lower.terms[1:]))
         assert oracle_gap(bad, n=1000) > 1e-2
+
+
+def _thomas_per_column(sub, diag, sup, rhs):
+    """The single-column tridiagonal solve the oracle factors once per stencil."""
+    m = len(rhs)
+    scale = max(abs(sub), abs(diag), abs(sup), 1.0)
+    w = np.empty(m)
+    g = np.empty(m)
+    pivot = diag
+    if abs(pivot) <= 1e-13 * scale:
+        raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
+    w[0] = sup / pivot
+    g[0] = rhs[0] / pivot
+    for i in range(1, m):
+        pivot = diag - sub * w[i - 1]
+        if abs(pivot) <= 1e-13 * scale:
+            raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
+        w[i] = sup / pivot
+        g[i] = (rhs[i] - sub * g[i - 1]) / pivot
+    y = np.empty(m)
+    y[-1] = g[-1]
+    for i in range(m - 2, -1, -1):
+        y[i] = g[i] - w[i] * y[i + 1]
+    return y
+
+
+def _fd_oracle_per_column(a, b, c, L, y0, yL, n):
+    """One scalar boundary pair, one elimination: the reference for ``fd_oracle``."""
+    h = L / n
+    sub = a / h**2 - b / (2.0 * h)
+    diag = c - 2.0 * a / h**2
+    sup = a / h**2 + b / (2.0 * h)
+    rhs = np.zeros(n - 1)
+    rhs[0] -= sub * y0
+    rhs[-1] -= sup * yL
+    return np.concatenate(([y0], _thomas_per_column(sub, diag, sup, rhs), [yL]))
+
+
+def _oracle_gap_per_level(sol, n, r_values):
+    """``oracle_gap`` as one pair of scalar solves per level, with a running max."""
+    prob = sol.problem
+    xs = np.linspace(0.0, prob.L, n + 1)
+    lo_grid = sol.lower.evaluate_grid(xs, r_values)
+    up_grid = sol.upper.evaluate_grid(xs, r_values)
+    worst = 0.0
+    for j, r in enumerate(r_values):
+        bc = (prob.bc0.lower(r), prob.bc0.upper(r), prob.bcL.lower(r), prob.bcL.upper(r))
+        if sol.case.is_mixed:
+            kappa = -prob.effective_c(sol.case)
+            s = _fd_oracle_per_column(prob.a, 0.0, -kappa, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
+            d = _fd_oracle_per_column(prob.a, 0.0, kappa, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
+            lo_fd, up_fd = (s + d) / 2.0, (s - d) / 2.0
+        else:
+            lo_fd = _fd_oracle_per_column(prob.a, prob.b, prob.c, prob.L, bc[0], bc[2], n)
+            up_fd = _fd_oracle_per_column(prob.a, prob.b, prob.c, prob.L, bc[1], bc[3], n)
+        worst = max(
+            worst,
+            float(np.max(np.abs(lo_grid[:, j] - lo_fd))),
+            float(np.max(np.abs(up_grid[:, j] - up_fd))),
+        )
+    return worst
+
+
+_boundary = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+class TestFdOracleColumns:
+    """One factorization per stencil gives every column the bits of its own solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a=st.floats(min_value=0.1, max_value=10.0) | st.floats(min_value=-10.0, max_value=-0.1),
+        b=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+        c=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+        L=st.floats(min_value=0.1, max_value=5.0),
+        n=st.integers(16, 200),
+        pairs=st.lists(st.tuples(_boundary, _boundary), min_size=1, max_size=5),
+    )
+    def test_matches_per_column_solve(self, a, b, c, L, n, pairs):
+        y0 = [p[0] for p in pairs]
+        yL = [p[1] for p in pairs]
+        try:
+            want = [_fd_oracle_per_column(a, b, c, L, p, q, n) for p, q in pairs]
+        except EigenvalueDegeneracyError:
+            with pytest.raises(EigenvalueDegeneracyError):
+                fd_oracle(a, b, c, L, y0, yL, n)
+            return
+        got = fd_oracle(a, b, c, L, y0, yL, n)
+        assert got.shape == (n + 1, len(pairs))
+        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+        scalar = fd_oracle(a, b, c, L, y0[0], yL[0], n)
+        assert scalar.shape == (n + 1,)
+        assert scalar.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "y0, yL", [([0.0, 1.0], [1.0]), ([0.0], [1.0, 2.0]), (0.0, [1.0]), ([[0.0]], [[1.0]])]
+    )
+    def test_mismatched_boundary_shapes_raise(self, y0, yL):
+        with pytest.raises(ValueError, match="equal length"):
+            fd_oracle(1.0, 0.0, -1.0, 1.0, y0, yL, 64)
+        with pytest.raises(ValueError, match="equal length"):
+            fd_oracle_coupled(1.0, 1.0, 1.0, y0, yL, y0, y0, 64)
+
+    def test_singular_stencil_raises_for_sequences(self):
+        n, L, a = 16, 1.0, 1.0
+        c = 2.0 * a * n * n / (L * L)
+        for y0, yL in (([1.0, 2.0], [1.0, 3.0]), ([], [])):
+            with pytest.raises(EigenvalueDegeneracyError):
+                fd_oracle(a, 0.0, c, L, y0, yL, n)
+
+
+class TestOracleGapColumns:
+    @pytest.mark.parametrize("r_values", [(0.0, 0.5, 1.0), (0.0,)])
+    @pytest.mark.parametrize(
+        "prob",
+        [wave_problem(case) for case in ALL_CASES]
+        + [homogeneous_problem(case) for case in (DiffCase.CASE_11, DiffCase.CASE_22)],
+        ids=["wave-11", "wave-22", "wave-12", "wave-21", "homogeneous-11", "homogeneous-22"],
+    )
+    def test_matches_per_level_loop(self, prob, r_values):
+        sol = solve(prob)
+        n = 10_000
+        assert oracle_gap(sol, n, r_values) == _oracle_gap_per_level(sol, n, r_values)
