@@ -29,9 +29,6 @@ from .solver import (
     FuzzySolution,
     RClosedForm,
     solve,
-    solve_coupled,
-    solve_uncoupled,
-    transform_bvp,
 )
 from .validate import (
     CaseResult,
@@ -84,8 +81,5 @@ __all__ = [
     "roots",
     "scale",
     "solve",
-    "solve_coupled",
-    "solve_uncoupled",
-    "transform_bvp",
     "triangular",
 ]

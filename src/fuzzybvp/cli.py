@@ -41,26 +41,15 @@ _SECTIONS = {
 class ProblemSpec:
     """Parsed problem file: the BVP data plus run configuration."""
 
-    a: float
-    b: float
-    c: float
-    L: float
-    bc0: FuzzyNumber
-    bcL: FuzzyNumber
-    case_request: str = "all"
-    v_height: float = 0.0
-    r_levels: int = 11
-    x_samples: int = 101
-
-    def to_bvp(self, case: DiffCase | None = None) -> FuzzyBVP:
-        return FuzzyBVP(
-            a=self.a, b=self.b, c=self.c, L=self.L,
-            bc0=self.bc0, bcL=self.bcL, case=case, v_height=self.v_height,
-        )
+    problem: FuzzyBVP
+    case_request: str
+    r_levels: int
+    x_samples: int
 
 
 def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
+    header_lines: dict[str, int] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -72,8 +61,13 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 raise ProblemFormatError(f"unknown section [{name}]", lineno)
+            if name in header_lines:
+                raise ProblemFormatError(
+                    f"section [{name}] already given at line {header_lines[name]}", lineno
+                )
+            header_lines[name] = lineno
             current = name
-            sections.setdefault(name, {})
+            sections[name] = {}
             continue
         if "=" not in line:
             raise ProblemFormatError(f"expected 'key = value', got {line!r}", lineno)
@@ -83,7 +77,16 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key = key.strip()
         if key not in _SECTIONS[current]:
             raise ProblemFormatError(f"unknown key {key!r} in section [{current}]", lineno)
-        sections[current][key] = (value.strip(), lineno)
+        body = sections[current]
+        for first, (_, first_line) in body.items():
+            # a boundary value is a triangular number or a pair of branches, never both
+            if first == key or "triangular" in (first, key):
+                raise ProblemFormatError(
+                    f"ambiguous key {key!r} in section [{current}]: "
+                    f"{first!r} already given at line {first_line}",
+                    lineno,
+                )
+        body[key] = (value.strip(), lineno)
     return sections
 
 
@@ -127,9 +130,7 @@ def _parse_floats(value: str, count: int, key: str, lineno: int) -> list[float]:
 
 
 def _parse_bc(sections, section: str) -> FuzzyNumber:
-    body = sections.get(section)
-    if body is None:
-        raise ProblemFormatError(f"missing section [{section}]")
+    body = sections[section]
     if "triangular" in body:
         value, lineno = body["triangular"]
         left, center, right = _parse_floats(value, 3, "triangular", lineno)
@@ -168,52 +169,33 @@ def parse_problem_text(text: str) -> ProblemSpec:
                 f"case must be one of {'|'.join(CASE_CHOICES)}, got {case_request!r}", lineno
             )
 
-    spec = ProblemSpec(
+    # every field is parsed, in file order, before the problem is built, so
+    # a malformed field is reported ahead of an out-of-range value
+    fields = dict(
         a=_get_float(sections, "ode", "a"),
         b=_get_float(sections, "ode", "b"),
         c=_get_float(sections, "ode", "c"),
         L=_get_float(sections, "domain", "L"),
         bc0=_parse_bc(sections, "bc0"),
         bcL=_parse_bc(sections, "bcL"),
-        case_request=case_request,
         v_height=_get_float(sections, "potential", "height", default=0.0),
-        r_levels=_get_int(sections, "output", "r_levels", 11),
-        x_samples=_get_int(sections, "output", "x_samples", 101),
     )
+    r_levels = _get_int(sections, "output", "r_levels", 11)
+    x_samples = _get_int(sections, "output", "x_samples", 101)
     try:
-        spec.to_bvp()
+        problem = FuzzyBVP(**fields)
     except ValueError as exc:
         raise ProblemFormatError(str(exc)) from None
-    return spec
+    return ProblemSpec(problem, case_request, r_levels, x_samples)
 
 
 def parse_problem_file(path) -> ProblemSpec:
     return parse_problem_text(Path(path).read_text(encoding="utf-8"))
 
 
-def format_problem(spec: ProblemSpec) -> str:
-    """Canonical problem file text; re-parses to an equal ProblemSpec."""
-
-    def bc_lines(bc: FuzzyNumber) -> list[str]:
-        return [
-            f"lower = {bc.lower.c0!r} {bc.lower.c1!r}",
-            f"upper = {bc.upper.c0!r} {bc.upper.c1!r}",
-        ]
-
-    lines = ["[ode]", f"a = {spec.a!r}", f"b = {spec.b!r}", f"c = {spec.c!r}", ""]
-    lines += ["[domain]", f"L = {spec.L!r}", ""]
-    lines += ["[bc0]", *bc_lines(spec.bc0), ""]
-    lines += ["[bcL]", *bc_lines(spec.bcL), ""]
-    lines += ["[solve]", f"case = {spec.case_request}", ""]
-    lines += ["[potential]", f"height = {spec.v_height!r}", ""]
-    lines += ["[output]", f"r_levels = {spec.r_levels}", f"x_samples = {spec.x_samples}", ""]
-    return "\n".join(lines)
-
-
 def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
     cases = ALL_CASES if spec.case_request == "all" else (DiffCase(spec.case_request),)
-    prob = spec.to_bvp()
-    results = [check_case(prob, case, spec.x_samples, spec.r_levels) for case in cases]
+    results = [check_case(spec.problem, case, spec.x_samples, spec.r_levels) for case in cases]
     if oracle:
         results = [
             replace(res, report=replace(res.report, oracle_max_gap=oracle_gap(res.solution)))
@@ -296,13 +278,14 @@ def run(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    prob = spec.problem
     summary_lines = [
-        f"problem: a={spec.a:g} b={spec.b:g} c={spec.c:g} L={spec.L:g} "
-        f"height={spec.v_height:g}",
-        f"bc0: lower = {spec.bc0.lower.c0:g} + {spec.bc0.lower.c1:g}*r, "
-        f"upper = {spec.bc0.upper.c0:g} + {spec.bc0.upper.c1:g}*r",
-        f"bcL: lower = {spec.bcL.lower.c0:g} + {spec.bcL.lower.c1:g}*r, "
-        f"upper = {spec.bcL.upper.c0:g} + {spec.bcL.upper.c1:g}*r",
+        f"problem: a={prob.a:g} b={prob.b:g} c={prob.c:g} L={prob.L:g} "
+        f"height={prob.v_height:g}",
+        f"bc0: lower = {prob.bc0.lower.c0:g} + {prob.bc0.lower.c1:g}*r, "
+        f"upper = {prob.bc0.upper.c0:g} + {prob.bc0.upper.c1:g}*r",
+        f"bcL: lower = {prob.bcL.lower.c0:g} + {prob.bcL.lower.c1:g}*r, "
+        f"upper = {prob.bcL.upper.c0:g} + {prob.bcL.upper.c1:g}*r",
         "",
     ]
     report_blocks = []

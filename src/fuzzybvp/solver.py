@@ -9,8 +9,8 @@ affine in the membership level r.
 The four differentiability cases differ in whether derivative endpoints
 swap. Cases 11 and 22 decouple the branches. The mixed cases 12 and 21
 couple them, and the sum and difference of the branches decouple them
-again. Every case thus reduces to two calls of one scalar two-point
-kernel, ``_solve_branch``.
+again. ``solve`` is the one entry: every case reduces to two calls of one
+scalar two-point kernel, ``_solve_branch``.
 
 This module only solves. Checking a solution, and running the cases side
 by side, is ``validate``'s job; nothing here imports it.
@@ -32,7 +32,6 @@ from .errors import (
 from .fuzzy import FuzzyNumber, RFun
 from .laplace import (
     ClosedForm,
-    ClosedFormTerm,
     Polynomial,
     RationalFunction,
     TermKind,
@@ -114,11 +113,6 @@ class RClosedForm:
         cleaned.sort(key=lambda t: (_KIND_ORDER[t[0]], t[1]))
         object.__setattr__(self, "terms", tuple(cleaned))
 
-    def fix_r(self, r: float) -> ClosedForm:
-        return ClosedForm(
-            tuple(ClosedFormTerm(kind, k, coeff(r)) for kind, k, coeff in self.terms)
-        )
-
     def evaluate(self, x, r: float):
         """Envelope at level r: a scalar for scalar x, else an array shaped like x."""
         values = self.evaluate_grid(np.ravel(x), (r,))[:, 0]
@@ -131,7 +125,8 @@ class RClosedForm:
         and each basis function once over all x. Terms are summed one by
         one in canonical order, and a term whose coefficient is exactly
         zero at a level is left out there, so every value is bit-identical
-        to ``fix_r(r)`` differentiated ``derivative`` times and evaluated at x.
+        to the plain closed form at level r, differentiated ``derivative``
+        times and evaluated term by term at x.
         """
         xs = np.asarray(xs, dtype=float)
         rs = np.asarray(rs, dtype=float)
@@ -178,38 +173,22 @@ class FuzzySolution:
     constants: dict[str, RFun]
 
 
-@dataclass(frozen=True)
-class BranchTransform:
-    """Transform of one branch with the derivative constant still symbolic.
-
-    Represents l[y](p) = const_part(p) + r * r_part(p) + F * f_part(p).
-    """
-
-    const_part: RationalFunction
-    r_part: RationalFunction
-    f_part: RationalFunction
-
-
-def _branch_transform(a: float, b: float, c: float, y0: RFun) -> BranchTransform:
+def _branch_transform(
+    a: float, b: float, c: float, y0: RFun
+) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
     """Transform template of a*y'' + b*y' + c*y = 0 with y(0) = y0, y'(0) = F.
 
     Using l[y'] = p*l[y] - y(0) and l[y''] = p^2*l[y] - p*y(0) - y'(0) gives
 
-        (a p^2 + b p + c) l[y] = a*y(0)*p + b*y(0) + a*F.
+        (a p^2 + b p + c) l[y] = a*y(0)*p + b*y(0) + a*F,
+
+    returned as (const, slope, gain) with l[y] = const + r*slope + F*gain.
     """
     den = Polynomial((c, b, a))
-    return BranchTransform(
-        const_part=RationalFunction(Polynomial((b * y0.c0, a * y0.c0)), den),
-        r_part=RationalFunction(Polynomial((b * y0.c1, a * y0.c1)), den),
-        f_part=RationalFunction(Polynomial((a,)), den),
-    )
-
-
-def transform_bvp(prob: FuzzyBVP) -> tuple[BranchTransform, BranchTransform]:
-    """Branch-wise transform templates of the decoupled pipeline."""
     return (
-        _branch_transform(prob.a, prob.b, prob.c, prob.bc0.lower),
-        _branch_transform(prob.a, prob.b, prob.c, prob.bc0.upper),
+        RationalFunction(Polynomial((b * y0.c0, a * y0.c0)), den),
+        RationalFunction(Polynomial((b * y0.c1, a * y0.c1)), den),
+        RationalFunction(Polynomial((a,)), den),
     )
 
 
@@ -234,10 +213,7 @@ def _solve_branch(
     affine in F), then solves the single linear equation the x = L value
     imposes on F. Returns the solution and F, both affine in r.
     """
-    tmpl = _branch_transform(a, b, c, y0)
-    base0 = inverse_laplace(tmpl.const_part)
-    base1 = inverse_laplace(tmpl.r_part)
-    gain = inverse_laplace(tmpl.f_part)
+    base0, base1, gain = map(inverse_laplace, _branch_transform(a, b, c, y0))
     with np.errstate(over="ignore", invalid="ignore"):
         gL = float(gain.evaluate(L))
         b0L = float(base0.evaluate(L))
@@ -266,49 +242,45 @@ def _half_sum(s: RClosedForm, d: RClosedForm, sign: float) -> RClosedForm:
     return RClosedForm(tuple((kind, k, coeff) for (kind, k), coeff in coeffs.items()))
 
 
-def solve_uncoupled(prob: FuzzyBVP) -> FuzzySolution:
-    """Solve under case 11 or 22, where the branches separate.
+def solve(prob: FuzzyBVP) -> FuzzySolution:
+    """Solve the differentiability case the problem is tagged with.
 
-    Each branch is a classical constant-coefficient problem handed to the
-    scalar kernel. Under case 22 the derivative endpoints swap twice, which
-    restores the same template; only the bookkeeping of which branch owns
-    which constant changes, so both tags share this computation.
-    """
-    if prob.case not in (DiffCase.CASE_11, DiffCase.CASE_22):
-        raise CaseInapplicableError(f"solve_uncoupled expects case 11 or 22, got {prob.case}")
+    Cases 11 and 22 separate the branches: each is a classical
+    constant-coefficient problem handed to the scalar kernel. Under case 22
+    the derivative endpoints swap twice, which restores the same template;
+    only which branch owns which constant (F1, F2) changes.
 
-    lower, f_lower = _solve_branch(
-        prob.a, prob.b, prob.c, prob.L, prob.bc0.lower, prob.bcL.lower
-    )
-    upper, f_upper = _solve_branch(
-        prob.a, prob.b, prob.c, prob.L, prob.bc0.upper, prob.bcL.upper
-    )
-    if prob.case is DiffCase.CASE_11:
-        constants = {"F1": f_lower, "F2": f_upper}
-    else:
-        # case 22: the constant in each branch equation is the opposite
-        # endpoint of the fuzzy derivative
-        constants = {"F1": f_upper, "F2": f_lower}
-    return FuzzySolution(lower, upper, prob.case, prob, constants)
-
-
-def solve_coupled(prob: FuzzyBVP) -> FuzzySolution:
-    """Solve under the mixed cases 12 or 21, where the branches couple.
-
-    The endpoint swap in the second derivative turns the equation into the
-    pair a*lower'' = -c_eff*upper, a*upper'' = -c_eff*lower with
-    c_eff = c + v_height. The sum s = lower + upper and the difference
-    d = lower - upper decouple it exactly:
+    The mixed cases 12 and 21 swap endpoints in the second derivative, which
+    couples the branches: a*lower'' = -c_eff*upper, a*upper'' = -c_eff*lower
+    with c_eff = c + v_height. The sum s = lower + upper and the difference
+    d = lower - upper decouple the pair exactly:
 
         a*s'' + c_eff*s = 0    (cosh/sinh, rate w = sqrt(kappa))
         a*d'' - c_eff*d = 0    (cos/sin, frequency w)
 
-    with kappa = -c_eff/a > 0. Each is handed to the scalar kernel, and the
-    branches and their initial derivatives H1 = lower'(0), H2 = upper'(0)
-    are recombined as half sums and half differences.
+    with kappa = -c_eff/a. They need b = 0 and kappa > 0, and raise
+    ``CaseInapplicableError`` otherwise. Each is handed to the scalar kernel,
+    and the branches and their initial derivatives H1 = lower'(0),
+    H2 = upper'(0) are recombined as half sums and half differences.
     """
-    if prob.case is None or not prob.case.is_mixed:
-        raise CaseInapplicableError(f"solve_coupled expects case 12 or 21, got {prob.case}")
+    if prob.case is None:
+        raise CaseInapplicableError("problem has no differentiability case set")
+    bc0, bcL = prob.bc0, prob.bcL
+    if not prob.case.is_mixed:
+        lower, f_lower = _solve_branch(
+            prob.a, prob.b, prob.c, prob.L, bc0.lower, bcL.lower
+        )
+        upper, f_upper = _solve_branch(
+            prob.a, prob.b, prob.c, prob.L, bc0.upper, bcL.upper
+        )
+        if prob.case is DiffCase.CASE_11:
+            constants = {"F1": f_lower, "F2": f_upper}
+        else:
+            # case 22: the constant in each branch equation is the opposite
+            # endpoint of the fuzzy derivative
+            constants = {"F1": f_upper, "F2": f_lower}
+        return FuzzySolution(lower, upper, prob.case, prob, constants)
+
     if prob.b != 0.0:
         raise CaseInapplicableError(
             "mixed cases need a pure a*y'' = kappa*y equation (no y' term); "
@@ -320,8 +292,6 @@ def solve_coupled(prob: FuzzyBVP) -> FuzzySolution:
         raise CaseInapplicableError(
             f"mixed cases need kappa = -c_eff/a > 0, got {kappa}; use case 11 or 22"
         )
-
-    bc0, bcL = prob.bc0, prob.bcL
     s, f_s = _solve_branch(
         prob.a, 0.0, c_eff, prob.L, bc0.lower + bc0.upper, bcL.lower + bcL.upper
     )
@@ -330,12 +300,3 @@ def solve_coupled(prob: FuzzyBVP) -> FuzzySolution:
     )
     constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
     return FuzzySolution(_half_sum(s, d, 1.0), _half_sum(s, d, -1.0), prob.case, prob, constants)
-
-
-def solve(prob: FuzzyBVP) -> FuzzySolution:
-    """Dispatch on the differentiability case tag."""
-    if prob.case is None:
-        raise CaseInapplicableError("problem has no differentiability case set")
-    if prob.case.is_mixed:
-        return solve_coupled(prob)
-    return solve_uncoupled(prob)

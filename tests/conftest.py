@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from fuzzybvp import ClosedForm, FuzzyNumber, Polynomial, RationalFunction, RFun
+from fuzzybvp import (
+    ClosedForm,
+    ClosedFormTerm,
+    FuzzyNumber,
+    Polynomial,
+    RationalFunction,
+    RClosedForm,
+    RFun,
+)
 
 
 def random_fuzzy(rng: np.random.Generator, magnitude: float = 5.0) -> FuzzyNumber:
@@ -17,6 +25,11 @@ def random_fuzzy(rng: np.random.Generator, magnitude: float = 5.0) -> FuzzyNumbe
         RFun(core_lo - lo_slope, lo_slope),
         RFun(core_up - up_slope, up_slope),
     )
+
+
+def fix_r(form: RClosedForm, r: float) -> ClosedForm:
+    """The plain closed form of an envelope at one level: the reference for bit-identity checks."""
+    return ClosedForm(tuple(ClosedFormTerm(kind, k, coeff(r)) for kind, k, coeff in form.terms))
 
 
 def _pole_group(rng: np.random.Generator, kind: str) -> Polynomial:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import fix_r
 from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, solve
 from fuzzybvp import cli, validate
 from fuzzybvp.cli import (
     _write_csv,
-    format_problem,
     main,
     parse_problem_text,
     run,
@@ -57,12 +57,36 @@ upper = 1 -1
 case = 11
 """
 
+# Input the parser once resolved silently, each with the error it now raises
+# at the second occurrence.
+AMBIGUOUS = {
+    "repeated-key": (
+        WAVE_PROBLEM.replace("c = -1\n", "c = -1\na = 5\n"),
+        "line 6: ambiguous key 'a' in section [ode]: 'a' already given at line 3",
+    ),
+    "repeated-section": (
+        WAVE_PROBLEM.replace("b = 0\n", "") + "[ode]\nb = 0\n",
+        "line 19: section [ode] already given at line 2",
+    ),
+    "triangular-after-branches": (
+        WAVE_PROBLEM.replace("upper = 6 -1\n", "upper = 6 -1\ntriangular = 4 5 6\n"),
+        "line 17: ambiguous key 'triangular' in section [bcL]: "
+        "'lower' already given at line 15",
+    ),
+    "branches-after-triangular": (
+        WAVE_PROBLEM.replace("lower = 1 1\nupper = 3 -1\n", "triangular = 1 2 3\nlower = 1 1\n"),
+        "line 12: ambiguous key 'lower' in section [bc0]: "
+        "'triangular' already given at line 11",
+    ),
+}
+
 
 class TestParsing:
     def test_parses_wave_problem(self):
         spec = parse_problem_text(WAVE_PROBLEM)
-        assert (spec.a, spec.b, spec.c, spec.L) == (1.0, 0.0, -1.0, 1.0)
-        assert spec.bc0.lower(0.5) == 1.5
+        prob = spec.problem
+        assert (prob.a, prob.b, prob.c, prob.L) == (1.0, 0.0, -1.0, 1.0)
+        assert prob.bc0.lower(0.5) == 1.5
         assert spec.case_request == "all"
         assert (spec.r_levels, spec.x_samples) == (11, 101)
 
@@ -71,8 +95,9 @@ class TestParsing:
             "[bc0]\nlower = 1 1\nupper = 3 -1", "[bc0]\ntriangular = 1 2 3"
         )
         spec = parse_problem_text(text)
-        assert spec.bc0.lower(0.0) == 1.0
-        assert spec.bc0.lower(1.0) == spec.bc0.upper(1.0) == 2.0
+        bc0 = spec.problem.bc0
+        assert bc0.lower(0.0) == 1.0
+        assert bc0.lower(1.0) == bc0.upper(1.0) == 2.0
 
     def test_empty_file(self):
         with pytest.raises(ProblemFormatError, match=r"missing section \[ode\]"):
@@ -106,10 +131,24 @@ class TestParsing:
         with pytest.raises(ProblemFormatError, match="case must be one of"):
             parse_problem_text(text)
 
-    def test_round_trip(self):
-        spec = parse_problem_text(WAVE_PROBLEM)
-        again = parse_problem_text(format_problem(spec))
-        assert again == spec
+    @pytest.mark.parametrize("text, message", AMBIGUOUS.values(), ids=AMBIGUOUS.keys())
+    def test_ambiguous_input_rejected(self, tmp_path, capsys, text, message):
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem_text(text)
+        assert str(info.value) == message
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text)
+        assert run(problem, out_dir=tmp_path / "out") == 2
+        assert message in capsys.readouterr().err
+
+    def test_value_error_reported_after_every_field_parses(self):
+        # L = -1 fails only when the problem is built; r_levels = 1 fails
+        # while parsing, so its error comes first
+        text = WAVE_PROBLEM.replace("L = 1", "L = -1") + "[output]\nr_levels = 1\n"
+        with pytest.raises(ProblemFormatError, match="'r_levels' must be at least 2"):
+            parse_problem_text(text)
+        with pytest.raises(ProblemFormatError, match="domain length must be positive"):
+            parse_problem_text(WAVE_PROBLEM.replace("L = 1", "L = -1"))
 
     def test_round_trip_with_all_sections(self):
         text = (
@@ -117,8 +156,7 @@ class TestParsing:
             + "\n[potential]\nheight = 0.25\n\n[output]\nr_levels = 5\nx_samples = 21\n"
         )
         spec = parse_problem_text(text)
-        assert (spec.v_height, spec.r_levels, spec.x_samples) == (0.25, 5, 21)
-        assert parse_problem_text(format_problem(spec)) == spec
+        assert (spec.problem.v_height, spec.r_levels, spec.x_samples) == (0.25, 5, 21)
 
 
 class TestRun:
@@ -283,8 +321,8 @@ def _per_point_csv(sol, x_samples: int, r_levels: int) -> bytes:
     rows = ["x,r,lower,upper"]
     for x in xs:
         for r in rs:
-            lo = float(sol.lower.fix_r(float(r)).evaluate(float(x)))
-            up = float(sol.upper.fix_r(float(r)).evaluate(float(x)))
+            lo = float(fix_r(sol.lower, float(r)).evaluate(float(x)))
+            up = float(fix_r(sol.upper, float(r)).evaluate(float(x)))
             rows.append(f"{float(x):.16e},{float(r):.16e},{lo:.16e},{up:.16e}")
     return ("\n".join(rows) + "\n").encode("utf-8")
 

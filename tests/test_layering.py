@@ -7,6 +7,7 @@ back an import cycle.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import fuzzybvp
 
 PACKAGE_DIR = Path(fuzzybvp.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 FORBIDDEN = {
     "fuzzy": {"validate", "cli"},
     "laplace": {"validate", "cli"},
@@ -66,3 +68,14 @@ def test_parser_sees_relative_deferred_and_absolute_imports(tmp_path):
 def test_every_public_name_resolves():
     missing = [name for name in fuzzybvp.__all__ if not hasattr(fuzzybvp, name)]
     assert not missing
+
+
+def readme_api_names() -> set[str]:
+    """The backticked identifiers of the README's ``## API`` section."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"`([A-Za-z_]\w*)`", section))
+
+
+def test_readme_api_lists_exactly_the_exports():
+    assert readme_api_names() == set(fuzzybvp.__all__)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import fix_r
 from fuzzybvp import (
     ALL_CASES,
     CaseInapplicableError,
@@ -20,10 +21,8 @@ from fuzzybvp import (
     enumerate_cases,
     fd_oracle,
     solve,
-    solve_coupled,
-    solve_uncoupled,
-    transform_bvp,
 )
+from fuzzybvp import solver
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))      # (1+r, 3-r)
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))      # (4+r, 6-r)
@@ -67,39 +66,39 @@ def paper_H(r, w, L, lo0, up0, loL, upL):
 class TestTransformTemplates:
     def test_wave_template(self):
         # (a p^2 - b) l[u] = a (p (1+r) + F) for the lower branch
-        lower, upper = transform_bvp(wave_problem())
-        assert lower.const_part.denominator.coeffs == (-1.0, 0.0, 1.0)
-        assert lower.const_part.numerator.coeffs == (0.0, 1.0)   # p * 1
-        assert lower.r_part.numerator.coeffs == (0.0, 1.0)       # p * r-slope 1
-        assert lower.f_part.numerator.coeffs == (1.0,)           # a * F
-        assert upper.const_part.numerator.coeffs == (0.0, 3.0)   # p * 3
-        assert upper.r_part.numerator.coeffs == (0.0, -1.0)
+        prob = wave_problem()
+        lower = solver._branch_transform(prob.a, prob.b, prob.c, prob.bc0.lower)
+        upper = solver._branch_transform(prob.a, prob.b, prob.c, prob.bc0.upper)
+        assert lower[0].denominator.coeffs == (-1.0, 0.0, 1.0)
+        assert lower[0].numerator.coeffs == (0.0, 1.0)   # p * 1
+        assert lower[1].numerator.coeffs == (0.0, 1.0)   # p * r-slope 1
+        assert lower[2].numerator.coeffs == (1.0,)       # a * F
+        assert upper[0].numerator.coeffs == (0.0, 3.0)   # p * 3
+        assert upper[1].numerator.coeffs == (0.0, -1.0)
 
     def test_homogeneous_template_sign(self):
         # l[x'] = p l[x] - x(0) forces the collected right side
         # p*x0 + F - 3*x0; with x0 = -0.5 + 0.5r the constant parts are
         # (1.5, -0.5p) and the r parts (-1.5, 0.5p)
-        lower, _ = transform_bvp(homogeneous_problem())
-        assert lower.const_part.denominator.coeffs == (2.0, -3.0, 1.0)
-        assert lower.const_part.numerator.coeffs == (1.5, -0.5)
-        assert lower.r_part.numerator.coeffs == (-1.5, 0.5)
-        assert lower.f_part.numerator.coeffs == (1.0,)
+        prob = homogeneous_problem()
+        lower = solver._branch_transform(prob.a, prob.b, prob.c, prob.bc0.lower)
+        assert lower[0].denominator.coeffs == (2.0, -3.0, 1.0)
+        assert lower[0].numerator.coeffs == (1.5, -0.5)
+        assert lower[1].numerator.coeffs == (-1.5, 0.5)
+        assert lower[2].numerator.coeffs == (1.0,)
 
     def test_crisp_zero_template(self):
-        prob = FuzzyBVP(
-            a=1.0, b=0.0, c=-1.0, L=1.0,
-            bc0=FuzzyNumber.crisp(0.0), bcL=FuzzyNumber.crisp(0.0),
-            case=DiffCase.CASE_11,
-        )
-        lower, upper = transform_bvp(prob)
-        assert lower.const_part.numerator.is_zero
-        assert lower.r_part.numerator.is_zero
-        assert lower.f_part.numerator.coeffs == upper.f_part.numerator.coeffs == (1.0,)
+        zero = FuzzyNumber.crisp(0.0)
+        lower = solver._branch_transform(1.0, 0.0, -1.0, zero.lower)
+        upper = solver._branch_transform(1.0, 0.0, -1.0, zero.upper)
+        assert lower[0].numerator.is_zero
+        assert lower[1].numerator.is_zero
+        assert lower[2].numerator.coeffs == upper[2].numerator.coeffs == (1.0,)
 
 
 class TestSolveUncoupled:
     def test_wave_shooting_constants_match_worked_formula(self):
-        sol = solve_uncoupled(wave_problem())
+        sol = solve(wave_problem())
         k = 1.0
         for r in (0.0, 0.5, 1.0):
             want_f1 = paper_F(r, BC0.lower, BCL.lower, k, 1.0)
@@ -108,7 +107,7 @@ class TestSolveUncoupled:
             assert sol.constants["F2"](r) == pytest.approx(want_f2, rel=1e-12)
 
     def test_boundary_exactness(self):
-        sol = solve_uncoupled(wave_problem())
+        sol = solve(wave_problem())
         for r in np.linspace(0, 1, 11):
             assert abs(sol.lower.evaluate(0.0, r) - BC0.lower(r)) <= 1e-9
             assert abs(sol.lower.evaluate(1.0, r) - BCL.lower(r)) <= 1e-9
@@ -116,7 +115,7 @@ class TestSolveUncoupled:
             assert abs(sol.upper.evaluate(1.0, r) - BCL.upper(r)) <= 1e-9
 
     def test_homogeneous_matches_fd_oracle(self):
-        sol = solve_uncoupled(homogeneous_problem())
+        sol = solve(homogeneous_problem())
         prob = sol.problem
         n = 10_000
         xs = np.linspace(0.0, 1.0, n + 1)
@@ -134,7 +133,7 @@ class TestSolveUncoupled:
             bc0=FuzzyNumber.crisp(0.0), bcL=FuzzyNumber.crisp(0.0),
             case=DiffCase.CASE_11,
         )
-        sol = solve_uncoupled(prob)
+        sol = solve(prob)
         xs = np.linspace(0, 1, 21)
         for r in (0.0, 0.5, 1.0):
             assert np.max(np.abs(sol.lower.evaluate(xs, r))) <= 1e-12
@@ -142,7 +141,7 @@ class TestSolveUncoupled:
 
     def test_crisp_core_matches_classical_solution(self):
         # at r = 1 both branches reduce to the same crisp problem
-        sol = solve_uncoupled(wave_problem())
+        sol = solve(wave_problem())
         n = 10_000
         xs = np.linspace(0.0, 1.0, n + 1)
         fd = fd_oracle(1.0, 0.0, -1.0, 1.0, BC0.lower(1.0), BCL.lower(1.0), n)
@@ -152,13 +151,13 @@ class TestSolveUncoupled:
     def test_crisp_core_envelopes_coincide(self):
         # at r = 1 the boundary data collapses to points, so both branches
         # solve the same crisp problem
-        sol = solve_uncoupled(wave_problem())
+        sol = solve(wave_problem())
         xs = np.linspace(0, 1, 101)
         gap = np.abs(sol.lower.evaluate(xs, 1.0) - sol.upper.evaluate(xs, 1.0))
         assert np.max(gap) <= 1e-9
 
     def test_affine_in_r(self):
-        sol = solve_uncoupled(homogeneous_problem())
+        sol = solve(homogeneous_problem())
         xs = np.linspace(0, 1, 17)
         for branch in (sol.lower, sol.upper):
             mid = branch.evaluate(xs, 0.5)
@@ -166,8 +165,8 @@ class TestSolveUncoupled:
             assert np.max(np.abs(mid - averaged)) <= 1e-10
 
     def test_case_22_shares_envelopes_with_case_11(self):
-        s11 = solve_uncoupled(wave_problem(DiffCase.CASE_11))
-        s22 = solve_uncoupled(wave_problem(DiffCase.CASE_22))
+        s11 = solve(wave_problem(DiffCase.CASE_11))
+        s22 = solve(wave_problem(DiffCase.CASE_22))
         assert s11.lower.terms == s22.lower.terms
         assert s11.upper.terms == s22.upper.terms
         # the constants swap owners: each branch equation carries the
@@ -178,8 +177,8 @@ class TestSolveUncoupled:
     def test_negative_leading_coefficient(self):
         # -y'' + y = 0 is the same operator as y'' - y = 0
         prob = FuzzyBVP(a=-1.0, b=0.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
-        sol = solve_uncoupled(prob)
-        reference = solve_uncoupled(wave_problem())
+        sol = solve(prob)
+        reference = solve(wave_problem())
         xs = np.linspace(0, 1, 31)
         for r in (0.0, 0.5, 1.0):
             gap = np.abs(sol.lower.evaluate(xs, r) - reference.lower.evaluate(xs, r))
@@ -190,7 +189,7 @@ class TestSolveUncoupled:
         from fuzzybvp import TermKind, oracle_gap
 
         prob = FuzzyBVP(a=1.0, b=0.0, c=4.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
-        sol = solve_uncoupled(prob)
+        sol = solve(prob)
         kinds = {kind for kind, _, _ in sol.lower.terms}
         assert kinds == {TermKind.COS, TermKind.SIN}
         assert oracle_gap(sol, n=10_000) <= 1e-5
@@ -200,7 +199,7 @@ class TestSolveUncoupled:
         from fuzzybvp import TermKind, oracle_gap
 
         prob = FuzzyBVP(a=1.0, b=-1.0, c=-2.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
-        sol = solve_uncoupled(prob)
+        sol = solve(prob)
         assert {(kind, k) for kind, k, _ in sol.lower.terms} == {
             (TermKind.EXP, -1.0), (TermKind.EXP, 2.0)
         }
@@ -212,26 +211,22 @@ class TestSolveUncoupled:
             a=1.0, b=0.0, c=np.pi ** 2, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11
         )
         with pytest.raises(EigenvalueDegeneracyError):
-            solve_uncoupled(prob)
+            solve(prob)
 
     def test_repeated_characteristic_root_raises(self):
         prob = FuzzyBVP(a=1.0, b=-2.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
         with pytest.raises(UnsupportedProblemError):
-            solve_uncoupled(prob)
+            solve(prob)
 
     def test_damped_oscillation_raises(self):
         prob = FuzzyBVP(a=1.0, b=1.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
         with pytest.raises(UnsupportedProblemError):
-            solve_uncoupled(prob)
-
-    def test_rejects_mixed_case(self):
-        with pytest.raises(CaseInapplicableError):
-            solve_uncoupled(wave_problem(DiffCase.CASE_12))
+            solve(prob)
 
 
 class TestSolveCoupled:
     def test_shooting_constants_match_worked_formula(self):
-        sol = solve_coupled(wave_problem(DiffCase.CASE_12))
+        sol = solve(wave_problem(DiffCase.CASE_12))
         for r in (0.0, 0.5, 1.0):
             want_h1, want_h2 = paper_H(
                 r, 1.0, 1.0, BC0.lower, BC0.upper, BCL.lower, BCL.upper
@@ -240,7 +235,7 @@ class TestSolveCoupled:
             assert sol.constants["H2"](r) == pytest.approx(want_h2, rel=1e-12)
 
     def test_boundary_reproduction(self):
-        sol = solve_coupled(wave_problem(DiffCase.CASE_12))
+        sol = solve(wave_problem(DiffCase.CASE_12))
         for r in np.linspace(0, 1, 11):
             assert abs(sol.lower.evaluate(0.0, r) - BC0.lower(r)) <= 1e-9
             assert abs(sol.upper.evaluate(0.0, r) - BC0.upper(r)) <= 1e-9
@@ -250,23 +245,23 @@ class TestSolveCoupled:
     def test_basis_values_at_origin(self):
         # cos+cosh is 2 at the origin and the other three basis functions
         # vanish, so lower(0, r) is exactly the lower boundary value
-        sol = solve_coupled(wave_problem(DiffCase.CASE_12))
+        sol = solve(wave_problem(DiffCase.CASE_12))
         for r in (0.0, 0.25, 1.0):
             assert sol.lower.evaluate(0.0, r) == pytest.approx(1 + r, abs=1e-12)
 
     def test_crisp_core_equality(self):
-        sol = solve_coupled(wave_problem(DiffCase.CASE_12))
+        sol = solve(wave_problem(DiffCase.CASE_12))
         xs = np.linspace(0, 1, 101)
         gap = np.abs(sol.lower.evaluate(xs, 1.0) - sol.upper.evaluate(xs, 1.0))
         assert np.max(gap) <= 1e-9
 
     def test_coupled_system_residual(self):
-        sol = solve_coupled(wave_problem(DiffCase.CASE_12))
+        sol = solve(wave_problem(DiffCase.CASE_12))
         xs = np.linspace(0, 1, 101)
         kappa = 1.0  # -c/a
         for r in np.linspace(0, 1, 11):
-            lo = sol.lower.fix_r(r)
-            up = sol.upper.fix_r(r)
+            lo = fix_r(sol.lower, r)
+            up = fix_r(sol.upper, r)
             res1 = lo.differentiate().differentiate().evaluate(xs) - kappa * up.evaluate(xs)
             res2 = up.differentiate().differentiate().evaluate(xs) - kappa * lo.evaluate(xs)
             scale = 1 + max(np.max(np.abs(lo.evaluate(xs))), np.max(np.abs(up.evaluate(xs))))
@@ -274,8 +269,8 @@ class TestSolveCoupled:
             assert np.max(np.abs(res2)) <= 1e-8 * scale
 
     def test_case_21_shares_envelopes_with_case_12(self):
-        s12 = solve_coupled(wave_problem(DiffCase.CASE_12))
-        s21 = solve_coupled(wave_problem(DiffCase.CASE_21))
+        s12 = solve(wave_problem(DiffCase.CASE_12))
+        s21 = solve(wave_problem(DiffCase.CASE_21))
         assert s12.lower.terms == s21.lower.terms
         assert s12.upper.terms == s21.upper.terms
 
@@ -286,7 +281,7 @@ class TestSolveCoupled:
             a=1.0, b=0.0, c=-1.0, L=1.0, bc0=BC0, bcL=BCL,
             case=DiffCase.CASE_12, v_height=0.75,
         )
-        sol = solve_coupled(prob)
+        sol = solve(prob)
         rates = {k for _, k, _ in sol.lower.terms}
         assert rates == {0.5}
 
@@ -296,16 +291,16 @@ class TestSolveCoupled:
             a=1.0, b=0.0, c=-np.pi ** 2, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_12
         )
         with pytest.raises(EigenvalueDegeneracyError):
-            solve_coupled(prob)
+            solve(prob)
 
     def test_wrong_sign_redirects_to_uncoupled(self):
         prob = FuzzyBVP(a=1.0, b=0.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_12)
         with pytest.raises(CaseInapplicableError):
-            solve_coupled(prob)
+            solve(prob)
 
     def test_first_derivative_term_rejected(self):
         with pytest.raises(CaseInapplicableError):
-            solve_coupled(homogeneous_problem(DiffCase.CASE_12))
+            solve(homogeneous_problem(DiffCase.CASE_12))
 
     @pytest.mark.parametrize(
         "a, c, v_height, L",
@@ -321,12 +316,12 @@ class TestSolveCoupled:
             a=a, b=0.0, c=c, L=L, bc0=BC0, bcL=BCL,
             case=DiffCase.CASE_12, v_height=v_height,
         )
-        sol = solve_coupled(prob)
+        sol = solve(prob)
         c_eff = c + v_height
         xs = np.linspace(0, L, 101)
         for r in np.linspace(0, 1, 5):
-            lo = sol.lower.fix_r(r)
-            up = sol.upper.fix_r(r)
+            lo = fix_r(sol.lower, r)
+            up = fix_r(sol.upper, r)
             assert sol.constants["H1"](r) == pytest.approx(
                 lo.differentiate().evaluate(0.0), rel=1e-12, abs=1e-12
             )
@@ -416,7 +411,7 @@ def _per_point(branch: RClosedForm, xs, rs, derivative: int) -> np.ndarray:
     """Reference values: one ``fix_r`` closed form per level, one scalar x at a time."""
     out = np.empty((len(xs), len(rs)))
     for j, r in enumerate(rs):
-        form = branch.fix_r(float(r))
+        form = fix_r(branch, float(r))
         for _ in range(derivative):
             form = form.differentiate()
         for i, x in enumerate(xs):
