@@ -13,6 +13,7 @@ unexpected internal error (reported as one ``error: internal:`` line).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,8 +53,10 @@ def _parse_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     header_lines: dict[str, int] = {}
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
+        # a comment runs from the first '#' or ';' to the end of the line;
+        # no section name, key or value contains either character
+        line = re.split("[#;]", raw, maxsplit=1)[0].strip()
+        if not line:
             continue
         if line.startswith("["):
             if not line.endswith("]"):

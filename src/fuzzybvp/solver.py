@@ -9,8 +9,12 @@ affine in the membership level r.
 The four differentiability cases differ in whether derivative endpoints
 swap. Cases 11 and 22 decouple the branches. The mixed cases 12 and 21
 couple them, and the sum and difference of the branches decouple them
-again. ``solve`` is the one entry: every case reduces to two calls of one
-scalar two-point kernel, ``_solve_branch``.
+again. ``solve`` is the one entry, and every case goes through one
+two-point kernel, ``_two_point``. The transform is linear in y(0) and
+y'(0), so each branch is y(0)*phi + y'(0)*psi over the fundamental pair of
+its operator, and one inversion per operator serves every branch: one for
+both branches of cases 11/22, one each for the sum and the difference in
+the mixed cases.
 
 This module only solves. Checking a solution, and running the cases side
 by side, is ``validate``'s job; nothing here imports it.
@@ -173,64 +177,70 @@ class FuzzySolution:
     constants: dict[str, RFun]
 
 
-def _branch_transform(
-    a: float, b: float, c: float, y0: RFun
-) -> tuple[RationalFunction, RationalFunction, RationalFunction]:
-    """Transform template of a*y'' + b*y' + c*y = 0 with y(0) = y0, y'(0) = F.
+def _fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedForm]:
+    """The fundamental pair (phi, psi) of a*y'' + b*y' + c*y = 0.
 
-    Using l[y'] = p*l[y] - y(0) and l[y''] = p^2*l[y] - p*y(0) - y'(0) gives
+    With y(0) = y0 and y'(0) = F kept symbolic, l[y'] = p*l[y] - y(0) and
+    l[y''] = p^2*l[y] - p*y(0) - y'(0) give
 
-        (a p^2 + b p + c) l[y] = a*y(0)*p + b*y(0) + a*F,
+        (a p^2 + b p + c) l[y] = y0*(a p + b) + F*a,
 
-    returned as (const, slope, gain) with l[y] = const + r*slope + F*gain.
+    so y = y0*phi + F*psi. Only psi = l^-1[a / (a p^2 + b p + c)] is
+    inverted. Since psi(0) = 0, the same rule gives l[psi'] = p*l[psi], so
+    phi = psi' + (b/a)*psi, formed with the exact term-wise derivative.
     """
-    den = Polynomial((c, b, a))
-    return (
-        RationalFunction(Polynomial((b * y0.c0, a * y0.c0)), den),
-        RationalFunction(Polynomial((b * y0.c1, a * y0.c1)), den),
-        RationalFunction(Polynomial((a,)), den),
-    )
+    psi = inverse_laplace(RationalFunction(Polynomial((a,)), Polynomial((c, b, a))))
+    return psi.differentiate() + psi.scaled(b / a), psi
 
 
-def _merge_affine(base0: ClosedForm, base1: ClosedForm, gain: ClosedForm, f: RFun) -> RClosedForm:
-    """Assemble coeff(r) = base0 + r*base1 + (f.c0 + f.c1*r)*gain."""
-    keys = dict.fromkeys([*base0.coeff_map(), *base1.coeff_map(), *gain.coeff_map()])
-    terms = []
-    for kind, k in keys:
-        gc = gain.coeff(kind, k)
-        terms.append(
-            (kind, k, RFun(base0.coeff(kind, k) + f.c0 * gc, base1.coeff(kind, k) + f.c1 * gc))
+def _require_finite_numerator(*values: float) -> None:
+    """Refuse a transform numerator whose terms overflow double precision."""
+    if not all(math.isfinite(v) for v in values):
+        raise UnsupportedProblemError(
+            "non-finite root or residue: the transform numerator "
+            "a*y(0)*p + b*y(0) + a*F overflows double precision"
         )
-    return RClosedForm(tuple(terms))
 
 
-def _solve_branch(
-    a: float, b: float, c: float, L: float, y0: RFun, yL: RFun
-) -> tuple[RClosedForm, RFun]:
-    """The scalar two-point kernel: a*y'' + b*y' + c*y = 0, y(0) = y0, y(L) = yL.
+def _two_point(
+    a: float, b: float, c: float, L: float, pairs: tuple[tuple[RFun, RFun], ...]
+) -> list[tuple[RClosedForm, RFun]]:
+    """The two-point kernel: a*y'' + b*y' + c*y = 0, y(0) = y0, y(L) = yL.
 
-    Inverts the transform template with y'(0) = F symbolic (the solution is
-    affine in F), then solves the single linear equation the x = L value
-    imposes on F. Returns the solution and F, both affine in r.
+    Every (y0, yL) pair shares the operator, so the fundamental pair is
+    inverted and evaluated at L once. For each pair the x = L value imposes
+    y0*phi(L) + F*psi(L) = yL, one linear equation for F. Returns, per pair,
+    the solution with term coefficients y0*phi_t + F*psi_t and F, both
+    affine in r.
     """
-    base0, base1, gain = map(inverse_laplace, _branch_transform(a, b, c, y0))
+    phi, psi = _fundamental_pair(a, b, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        gL = float(gain.evaluate(L))
-        b0L = float(base0.evaluate(L))
-        b1L = float(base1.evaluate(L))
-    if abs(gL) <= PIVOT_TOL:
+        phi_L = float(phi.evaluate(L))
+        psi_L = float(psi.evaluate(L))
+    if abs(psi_L) <= PIVOT_TOL:
         raise EigenvalueDegeneracyError(
             f"boundary elimination pivot vanished at L={L}; the domain "
             "length is an eigenvalue of the operator"
         )
-    f = RFun((yL.c0 - b0L) / gL, (yL.c1 - b1L) / gL)
-    if not all(math.isfinite(v) for v in (gL, b0L, b1L, f.c0, f.c1)):
-        k = max(abs(t.k) for t in gain.terms)
-        raise UnsupportedProblemError(
-            f"closed form overflows double precision at L={L}: k*L = {k * L:g} "
-            "(rate k of the basis)"
-        )
-    return _merge_affine(base0, base1, gain, f), f
+    phi_c, psi_c = phi.coeff_map(), psi.coeff_map()
+    keys = dict.fromkeys([*phi_c, *psi_c])
+    out = []
+    for y0, yL in pairs:
+        _require_finite_numerator(a * y0.c0, a * y0.c1, b * y0.c0, b * y0.c1)
+        f = RFun((yL.c0 - y0.c0 * phi_L) / psi_L, (yL.c1 - y0.c1 * phi_L) / psi_L)
+        if not all(math.isfinite(v) for v in (phi_L, psi_L, f.c0, f.c1)):
+            k = max(abs(t.k) for t in psi.terms)
+            raise UnsupportedProblemError(
+                f"closed form overflows double precision at L={L}: k*L = {k * L:g} "
+                "(rate k of the basis)"
+            )
+        _require_finite_numerator(a * f.c0, a * f.c1)
+        terms = []
+        for key in keys:
+            ph, ps = phi_c.get(key, 0.0), psi_c.get(key, 0.0)
+            terms.append((*key, RFun(y0.c0 * ph + f.c0 * ps, y0.c1 * ph + f.c1 * ps)))
+        out.append((RClosedForm(tuple(terms)), f))
+    return out
 
 
 def _half_sum(s: RClosedForm, d: RClosedForm, sign: float) -> RClosedForm:
@@ -246,7 +256,8 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
     """Solve the differentiability case the problem is tagged with.
 
     Cases 11 and 22 separate the branches: each is a classical
-    constant-coefficient problem handed to the scalar kernel. Under case 22
+    constant-coefficient problem, and both share one operator, so they go
+    to the two-point kernel together and share one inversion. Under case 22
     the derivative endpoints swap twice, which restores the same template;
     only which branch owns which constant (F1, F2) changes.
 
@@ -259,19 +270,18 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
         a*d'' - c_eff*d = 0    (cos/sin, frequency w)
 
     with kappa = -c_eff/a. They need b = 0 and kappa > 0, and raise
-    ``CaseInapplicableError`` otherwise. Each is handed to the scalar kernel,
-    and the branches and their initial derivatives H1 = lower'(0),
-    H2 = upper'(0) are recombined as half sums and half differences.
+    ``CaseInapplicableError`` otherwise. Each is handed to the two-point
+    kernel with its own operator, and the branches and their initial
+    derivatives H1 = lower'(0), H2 = upper'(0) are recombined as half sums
+    and half differences.
     """
     if prob.case is None:
         raise CaseInapplicableError("problem has no differentiability case set")
     bc0, bcL = prob.bc0, prob.bcL
     if not prob.case.is_mixed:
-        lower, f_lower = _solve_branch(
-            prob.a, prob.b, prob.c, prob.L, bc0.lower, bcL.lower
-        )
-        upper, f_upper = _solve_branch(
-            prob.a, prob.b, prob.c, prob.L, bc0.upper, bcL.upper
+        (lower, f_lower), (upper, f_upper) = _two_point(
+            prob.a, prob.b, prob.c, prob.L,
+            ((bc0.lower, bcL.lower), (bc0.upper, bcL.upper)),
         )
         if prob.case is DiffCase.CASE_11:
             constants = {"F1": f_lower, "F2": f_upper}
@@ -292,11 +302,11 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
         raise CaseInapplicableError(
             f"mixed cases need kappa = -c_eff/a > 0, got {kappa}; use case 11 or 22"
         )
-    s, f_s = _solve_branch(
-        prob.a, 0.0, c_eff, prob.L, bc0.lower + bc0.upper, bcL.lower + bcL.upper
+    ((s, f_s),) = _two_point(
+        prob.a, 0.0, c_eff, prob.L, ((bc0.lower + bc0.upper, bcL.lower + bcL.upper),)
     )
-    d, f_d = _solve_branch(
-        prob.a, 0.0, -c_eff, prob.L, bc0.lower - bc0.upper, bcL.lower - bcL.upper
+    ((d, f_d),) = _two_point(
+        prob.a, 0.0, -c_eff, prob.L, ((bc0.lower - bc0.upper, bcL.lower - bcL.upper),)
     )
     constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
     return FuzzySolution(_half_sum(s, d, 1.0), _half_sum(s, d, -1.0), prob.case, prob, constants)

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import EigenvalueDegeneracyError, FuzzyBvpError
 from .solver import ALL_CASES, DiffCase, FuzzyBVP, FuzzySolution, solve
 
-# Slack for the discrete monotonicity/ordering tests.
+# Slack for the discrete monotonicity/ordering tests, relative to the
+# largest |envelope| on the grid.
 GRID_TOL = 1e-10
 
 
@@ -102,12 +103,16 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
 
     The envelopes are affine in r, so the r-grid (which holds r = 0 and
     r = 1) settles monotonicity and ordering for every level; in x the
-    conditions are checked at the ``x_count`` samples only.
+    conditions are checked at the ``x_count`` samples only. The slack is
+    ``GRID_TOL`` times the largest |envelope| on the grid, one scalar for
+    all three conditions, so the verdict does not change when the boundary
+    data are scaled.
     """
     if x_count < 2 or r_count < 2:
         raise ValueError("need at least a 2x2 grid")
     prob = sol.problem
     rs, lo, up = _envelope_grids(sol, x_count, r_count)
+    tol = GRID_TOL * max(float(np.max(np.abs(lo[0]))), float(np.max(np.abs(up[0]))))
     boundary_gaps = (
         lo[0][0] - prob.bc0.lower(rs),
         up[0][0] - prob.bc0.upper(rs),
@@ -115,9 +120,9 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
         up[0][-1] - prob.bcL.upper(rs),
     )
     return ValidityReport(
-        monotone_lower_in_r=bool(np.all(np.diff(lo[0], axis=1) >= -GRID_TOL)),
-        monotone_upper_in_r=bool(np.all(np.diff(up[0], axis=1) <= GRID_TOL)),
-        ordered=bool(np.all(lo[0] <= up[0] + GRID_TOL)),
+        monotone_lower_in_r=bool(np.all(np.diff(lo[0], axis=1) >= -tol)),
+        monotone_upper_in_r=bool(np.all(np.diff(up[0], axis=1) <= tol)),
+        ordered=bool(np.all(lo[0] <= up[0] + tol)),
         max_ode_residual=_max_ode_residual(sol, lo, up),
         max_boundary_residual=float(np.max(np.abs(boundary_gaps))),
         grid=(x_count, r_count),

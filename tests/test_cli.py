@@ -1,10 +1,12 @@
 """Problem-file parsing, the run entry point, and its emitted artifacts."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import fix_r
-from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, solve
+from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, RFun, solve
 from fuzzybvp import cli, validate
 from fuzzybvp.cli import (
     _write_csv,
@@ -13,6 +15,8 @@ from fuzzybvp.cli import (
     run,
 )
 from test_solver import homogeneous_problem, paper_H, wave_problem
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 WAVE_PROBLEM = """\
 # wave problem with fuzzy boundary values
@@ -149,6 +153,23 @@ class TestParsing:
             parse_problem_text(text)
         with pytest.raises(ProblemFormatError, match="domain length must be positive"):
             parse_problem_text(WAVE_PROBLEM.replace("L = 1", "L = -1"))
+
+    def test_readme_grammar_example_parses(self):
+        # the example carries comments after headers and values
+        grammar = README.read_text(encoding="utf-8").split("### Problem file grammar", 1)[1]
+        example = grammar.split("```")[1]
+        assert "[ode]                # a*y'' + b*y' + c*y = 0" in example
+        spec = parse_problem_text(example)
+        prob = spec.problem
+        assert (prob.a, prob.b, prob.c, prob.L, prob.v_height) == (1.0, 0.0, -1.0, 1.0, 0.0)
+        assert (prob.bc0.lower, prob.bc0.upper) == (RFun(1.0, 1.0), RFun(3.0, -1.0))
+        assert (prob.bcL.lower(0.0), prob.bcL.lower(1.0), prob.bcL.upper(0.0)) == (4.0, 5.0, 6.0)
+        assert (spec.case_request, spec.r_levels, spec.x_samples) == ("all", 11, 101)
+
+    def test_trailing_comment_keeps_line_numbers(self):
+        text = WAVE_PROBLEM.replace("c = -1\n", "c = -1 ; decay\n").replace("L = 1", "L = x # bad")
+        with pytest.raises(ProblemFormatError, match="line 8: invalid number for 'L'"):
+            parse_problem_text(text)
 
     def test_round_trip_with_all_sections(self):
         text = (

@@ -9,6 +9,7 @@ from conftest import fix_r
 from fuzzybvp import (
     ALL_CASES,
     CaseInapplicableError,
+    ClosedFormTerm,
     DiffCase,
     EigenvalueDegeneracyError,
     FuzzyBVP,
@@ -23,6 +24,7 @@ from fuzzybvp import (
     solve,
 )
 from fuzzybvp import solver
+from fuzzybvp.laplace import Polynomial, RationalFunction, inverse_laplace
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))      # (1+r, 3-r)
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))      # (4+r, 6-r)
@@ -65,35 +67,27 @@ def paper_H(r, w, L, lo0, up0, loL, upL):
 
 class TestTransformTemplates:
     def test_wave_template(self):
-        # (a p^2 - b) l[u] = a (p (1+r) + F) for the lower branch
-        prob = wave_problem()
-        lower = solver._branch_transform(prob.a, prob.b, prob.c, prob.bc0.lower)
-        upper = solver._branch_transform(prob.a, prob.b, prob.c, prob.bc0.upper)
-        assert lower[0].denominator.coeffs == (-1.0, 0.0, 1.0)
-        assert lower[0].numerator.coeffs == (0.0, 1.0)   # p * 1
-        assert lower[1].numerator.coeffs == (0.0, 1.0)   # p * r-slope 1
-        assert lower[2].numerator.coeffs == (1.0,)       # a * F
-        assert upper[0].numerator.coeffs == (0.0, 3.0)   # p * 3
-        assert upper[1].numerator.coeffs == (0.0, -1.0)
+        # a p^2 - 1 = (p - 1)(p + 1): psi = l^-1[1/(p^2 - 1)] = sinh x and
+        # phi = psi' = cosh x, the solutions with (y, y') = (1, 0) and (0, 1) at 0
+        phi, psi = solver._fundamental_pair(1.0, 0.0, -1.0)
+        assert phi.terms == (ClosedFormTerm(TermKind.COSH, 1.0, 1.0),)
+        assert psi.terms == (ClosedFormTerm(TermKind.SINH, 1.0, 1.0),)
 
     def test_homogeneous_template_sign(self):
-        # l[x'] = p l[x] - x(0) forces the collected right side
-        # p*x0 + F - 3*x0; with x0 = -0.5 + 0.5r the constant parts are
-        # (1.5, -0.5p) and the r parts (-1.5, 0.5p)
-        prob = homogeneous_problem()
-        lower = solver._branch_transform(prob.a, prob.b, prob.c, prob.bc0.lower)
-        assert lower[0].denominator.coeffs == (2.0, -3.0, 1.0)
-        assert lower[0].numerator.coeffs == (1.5, -0.5)
-        assert lower[1].numerator.coeffs == (-1.5, 0.5)
-        assert lower[2].numerator.coeffs == (1.0,)
+        # y'' - 3y' + 2y = 0 has roots 1 and 2: psi = e^2x - e^x, and
+        # phi = psi' - 3*psi = 2e^x - e^2x
+        phi, psi = solver._fundamental_pair(1.0, -3.0, 2.0)
+        assert phi.coeff_map() == {(TermKind.EXP, 1.0): 2.0, (TermKind.EXP, 2.0): -1.0}
+        assert psi.coeff_map() == {(TermKind.EXP, 1.0): -1.0, (TermKind.EXP, 2.0): 1.0}
+        for form, value, slope in ((phi, 1.0, 0.0), (psi, 0.0, 1.0)):
+            assert form.evaluate(0.0) == value
+            assert form.differentiate().evaluate(0.0) == slope
 
     def test_crisp_zero_template(self):
         zero = FuzzyNumber.crisp(0.0)
-        lower = solver._branch_transform(1.0, 0.0, -1.0, zero.lower)
-        upper = solver._branch_transform(1.0, 0.0, -1.0, zero.upper)
-        assert lower[0].numerator.is_zero
-        assert lower[1].numerator.is_zero
-        assert lower[2].numerator.coeffs == upper[2].numerator.coeffs == (1.0,)
+        ((form, f),) = solver._two_point(1.0, 0.0, -1.0, 1.0, ((zero.lower, zero.upper),))
+        assert form.terms == ()
+        assert f == RFun(0.0, 0.0)
 
 
 class TestSolveUncoupled:
@@ -508,3 +502,97 @@ class TestEvaluateGrid:
         values = sol.lower.evaluate(xs, 0.5)
         assert values.shape == (11,)
         assert values.tobytes() == sol.lower.evaluate_grid(xs, [0.5])[:, 0].tobytes()
+
+
+def _three_template_branch(a, b, c, L, y0, yL):
+    """The former kernel: const, r-slope and gain templates inverted one by one."""
+    den = Polynomial((c, b, a))
+    base0, base1, gain = (
+        inverse_laplace(RationalFunction(num, den))
+        for num in (Polynomial((b * y0.c0, a * y0.c0)), Polynomial((b * y0.c1, a * y0.c1)), Polynomial((a,)))
+    )
+    gL, b0L, b1L = (float(form.evaluate(L)) for form in (gain, base0, base1))
+    if abs(gL) <= solver.PIVOT_TOL:
+        raise EigenvalueDegeneracyError("pivot")
+    f = RFun((yL.c0 - b0L) / gL, (yL.c1 - b1L) / gL)
+    keys = dict.fromkeys([*base0.coeff_map(), *base1.coeff_map(), *gain.coeff_map()])
+    terms = tuple(
+        (kind, k, RFun(base0.coeff(kind, k) + f.c0 * gain.coeff(kind, k),
+                       base1.coeff(kind, k) + f.c1 * gain.coeff(kind, k)))
+        for kind, k in keys
+    )
+    return RClosedForm(terms), f
+
+
+def _three_template_solve(prob):
+    """Envelopes and constants as the three-template kernel assembled them."""
+    bc0, bcL = prob.bc0, prob.bcL
+    if not prob.case.is_mixed:
+        lower, f_lower = _three_template_branch(prob.a, prob.b, prob.c, prob.L, bc0.lower, bcL.lower)
+        upper, f_upper = _three_template_branch(prob.a, prob.b, prob.c, prob.L, bc0.upper, bcL.upper)
+        if prob.case is DiffCase.CASE_22:
+            return lower, upper, {"F1": f_upper, "F2": f_lower}
+        return lower, upper, {"F1": f_lower, "F2": f_upper}
+    c_eff = prob.effective_c(prob.case)
+    s, f_s = _three_template_branch(prob.a, 0.0, c_eff, prob.L, bc0.lower + bc0.upper, bcL.lower + bcL.upper)
+    d, f_d = _three_template_branch(prob.a, 0.0, -c_eff, prob.L, bc0.lower - bc0.upper, bcL.lower - bcL.upper)
+    constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
+    return solver._half_sum(s, d, 1.0), solver._half_sum(s, d, -1.0), constants
+
+
+def _term_scale(form: RClosedForm, xs, rs) -> np.ndarray:
+    """(|c0| + |c1|*r) * |basis(k*x)| summed over the terms of ``form``, per grid point.
+
+    Rounding scales with this sum, not with |value|: it also covers points
+    where terms of ~e^{kL} cancel (the far boundary value of a pair of
+    growing exponentials) and levels where c0 + c1*r cancels.
+    """
+    out = np.zeros((len(xs), len(rs)))
+    for kind, k, coeff in form.terms:
+        bound = RFun(abs(coeff.c0), abs(coeff.c1))
+        out += np.abs(RClosedForm(((kind, k, bound),)).evaluate_grid(xs, rs))
+    return out
+
+
+def _close(got, want, scale=1.0):
+    return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
+
+
+class TestTwoPointKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(prob=solvable_problems())
+    def test_matches_three_template_kernel(self, prob):
+        # y0*phi + F*psi is the same closed form the three templates built
+        try:
+            want = _three_template_solve(prob)
+        except FuzzyBvpError as exc:
+            with pytest.raises(type(exc)):
+                solve(prob)
+            return
+        sol = solve(prob)
+        xs = np.linspace(0.0, prob.L, 9)
+        rs = np.array([0.0, 1.0])
+        lower, upper, constants = want
+        for got, ref in ((sol.lower, lower), (sol.upper, upper)):
+            assert _close(got.evaluate_grid(xs, rs), ref.evaluate_grid(xs, rs), _term_scale(ref, xs, rs))
+        assert sol.constants.keys() == constants.keys()
+        for name, ref in constants.items():
+            assert _close(sol.constants[name](rs), ref(rs), abs(ref.c0) + abs(ref.c1) * rs)
+
+    @pytest.mark.parametrize("case, calls", [
+        (DiffCase.CASE_11, 1), (DiffCase.CASE_22, 1), (DiffCase.CASE_12, 2), (DiffCase.CASE_21, 2),
+    ])
+    def test_one_inversion_per_operator(self, monkeypatch, case, calls):
+        seen = []
+
+        def counting(f):
+            seen.append(f.denominator.coeffs)
+            return inverse_laplace(f)
+
+        monkeypatch.setattr(solver, "inverse_laplace", counting)
+        solve(wave_problem(case))
+        assert len(seen) == calls
+        if not case.is_mixed:
+            seen.clear()
+            solve(homogeneous_problem(case))
+            assert seen == [(2.0, -3.0, 1.0)]

@@ -81,6 +81,22 @@ class TestCheckLevelSet:
         fine = check_level_set(swapped, x_count=21, r_count=21)  # nested grids
         assert not coarse.ordered and not fine.ordered
 
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.tag)
+    def test_verdict_is_scale_free(self, case):
+        # the same wave problem with its boundary data scaled: every flag
+        # keeps its value, and swapped envelopes are never ordered
+        verdicts = set()
+        for scale in (1e-12, 1.0, 1e12):
+            bc0, bcL = (
+                FuzzyNumber(bc.lower.scaled(scale), bc.upper.scaled(scale)) for bc in (BC0, BCL)
+            )
+            sol = solve(FuzzyBVP(a=1.0, b=0.0, c=-1.0, L=1.0, bc0=bc0, bcL=bcL, case=case))
+            report = check_level_set(sol)
+            verdicts.add((report.monotone_lower_in_r, report.monotone_upper_in_r, report.ordered))
+            swapped = check_level_set(replace(sol, lower=sol.upper, upper=sol.lower))
+            assert not swapped.ordered, scale
+        assert len(verdicts) == 1, verdicts
+
     def test_report_serialization(self):
         report = check_level_set(wave_solution())
         text = report.to_text()
