@@ -15,6 +15,7 @@ from .laplace import (
     ClosedForm,
     ClosedFormTerm,
     Polynomial,
+    RClosedForm,
     RationalFunction,
     TermKind,
     forward_laplace,
@@ -27,7 +28,6 @@ from .solver import (
     DiffCase,
     FuzzyBVP,
     FuzzySolution,
-    RClosedForm,
     solve,
 )
 from .validate import (

@@ -4,7 +4,12 @@ transform between it and exp/trig/hyperbolic closed forms.
 Everything is double precision; root extraction is closed form only
 (quadratic formula, biquadratic quartics), which covers every denominator
 the solver pipeline can produce. Repeated roots are rejected outright
-rather than extending the basis with polynomial-weighted terms.
+rather than extending the basis with polynomial-weighted terms, and so is
+a leading coefficient too small next to the others to keep its root.
+
+``ClosedForm`` (float coefficients, from ``inverse_laplace``) and
+``RClosedForm`` (coefficients affine in r, the solution envelopes) share
+one normal form, ``_canonical``, and one derivative rule, ``_derivative``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedProblemError
+from .fuzzy import RFun
 
 # Tolerance for coefficient arithmetic; verification margins elsewhere
 # are orders of magnitude looser.
@@ -151,7 +157,8 @@ class ClosedFormTerm:
     """One basis term coeff * kind(k * x).
 
     Rates/frequencies of the trig and hyperbolic kinds are kept strictly
-    positive; a zero rate is only meaningful as the constant EXP(0).
+    positive; a zero rate is only meaningful as the constant EXP(0). It
+    unpacks as (kind, k, coeff), like an ``RClosedForm`` term.
     """
 
     kind: TermKind
@@ -164,28 +171,31 @@ class ClosedFormTerm:
         if self.kind is not TermKind.EXP and self.k <= 0:
             raise ValueError(f"{self.kind.value} requires a positive rate, got {self.k}")
 
+    def __iter__(self):
+        return iter((self.kind, self.k, self.coeff))
+
     def evaluate(self, x):
         return self.coeff * _BASIS[self.kind](self.k * x)
 
-    def derivative(self) -> "ClosedFormTerm | None":
-        if self.kind is TermKind.EXP and self.k == 0.0:
-            return None
-        kind, sign = _DERIVATIVE[self.kind]
-        return ClosedFormTerm(kind, self.k, sign * self.coeff * self.k)
+
+def _canonical(terms, is_zero) -> list:
+    """(kind, k, coeff) triples with equal keys summed in first-seen order,
+    ``is_zero`` sums dropped, and the rest sorted by kind, then rate."""
+    merged = {}
+    for kind, k, coeff in terms:
+        key = (kind, k)
+        merged[key] = merged[key] + coeff if key in merged else coeff
+    kept = [(kind, k, coeff) for (kind, k), coeff in merged.items() if not is_zero(coeff)]
+    return sorted(kept, key=lambda t: (_KIND_ORDER[t[0]], t[1]))
 
 
-def _normalize_terms(terms) -> tuple[ClosedFormTerm, ...]:
-    merged: dict[tuple[TermKind, float], float] = {}
-    for t in terms:
-        key = (t.kind, t.k)
-        merged[key] = merged.get(key, 0.0) + t.coeff
-    out = [
-        ClosedFormTerm(kind, k, coeff)
-        for (kind, k), coeff in merged.items()
-        if coeff != 0.0
+def _derivative(terms) -> list:
+    """d/dx of (kind, k, coeff) triples, coeff a float or an array; EXP(0) drops out."""
+    return [
+        (_DERIVATIVE[kind][0], k, _DERIVATIVE[kind][1] * coeff * k)
+        for kind, k, coeff in terms
+        if not (kind is TermKind.EXP and k == 0.0)
     ]
-    out.sort(key=lambda t: (_KIND_ORDER[t.kind], t.k))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -194,12 +204,14 @@ class ClosedForm:
 
     Normalized so no two terms share a (kind, rate) pair; differentiation
     stays inside the basis, which is what makes residual checks exact.
+    Terms may also be given as (kind, k, coeff) triples.
     """
 
     terms: tuple[ClosedFormTerm, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", _normalize_terms(self.terms))
+        canonical = _canonical(self.terms, lambda c: c == 0.0)
+        object.__setattr__(self, "terms", tuple(ClosedFormTerm(*t) for t in canonical))
 
     def evaluate(self, x):
         if not self.terms:
@@ -210,10 +222,10 @@ class ClosedForm:
         return total
 
     def differentiate(self) -> "ClosedForm":
-        return ClosedForm(tuple(d for t in self.terms if (d := t.derivative()) is not None))
+        return ClosedForm(tuple(_derivative(self.terms)))
 
     def scaled(self, j: float) -> "ClosedForm":
-        return ClosedForm(tuple(ClosedFormTerm(t.kind, t.k, j * t.coeff) for t in self.terms))
+        return ClosedForm(tuple((kind, k, j * coeff) for kind, k, coeff in self.terms))
 
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         return ClosedForm(self.terms + other.terms)
@@ -228,11 +240,64 @@ class ClosedForm:
         return {(t.kind, t.k): t.coeff for t in self.terms}
 
 
+@dataclass(frozen=True)
+class RClosedForm:
+    """Closed form whose term coefficients are affine functions of r.
+
+    The terms are ``(kind, k, RFun)`` triples, normalized like ``ClosedForm``.
+    """
+
+    terms: tuple[tuple[TermKind, float, RFun], ...]
+
+    def __post_init__(self):
+        canonical = _canonical(self.terms, lambda c: c.c0 == 0.0 and c.c1 == 0.0)
+        object.__setattr__(self, "terms", tuple(canonical))
+
+    def evaluate(self, x, r: float):
+        """Envelope at level r: a scalar for scalar x, else an array shaped like x."""
+        values = self.evaluate_grid(np.ravel(x), (r,))[:, 0]
+        return values[0] if np.ndim(x) == 0 else values.reshape(np.shape(x))
+
+    def evaluate_grid(self, xs, rs, derivative: int = 0) -> np.ndarray:
+        """The ``derivative``-th x-derivative on an x-by-r grid, shape (len(xs), len(rs)).
+
+        The coefficients c0 + c1*r are formed once per term over all levels
+        and each basis function once over all x. Terms are summed one by
+        one in canonical order, and a term whose coefficient is exactly
+        zero at a level is left out there, so every value is bit-identical
+        to the plain closed form at level r, differentiated ``derivative``
+        times and evaluated term by term at x.
+        """
+        xs = np.asarray(xs, dtype=float)
+        rs = np.asarray(rs, dtype=float)
+        terms = [(kind, k, coeff(rs)) for kind, k, coeff in self.terms]
+        for _ in range(derivative):
+            terms = _derivative(terms)
+        # -0.0 is the exact additive identity, so the first term enters
+        # the sum unchanged, sign of zero included
+        total = np.full((xs.size, rs.size), -0.0)
+        term = np.empty_like(total)
+        live = np.zeros(rs.size, dtype=bool)
+        for kind, k, cr in _canonical(terms, lambda cr: not cr.any()):
+            nonzero = cr != 0.0
+            np.multiply(_BASIS[kind](k * xs)[:, None], cr, out=term, where=nonzero)
+            np.add(total, term, out=total, where=nonzero)
+            live |= nonzero
+        total[:, ~live] = 0.0  # a level with no terms is the zero form
+        return total
+
+
 def _quadratic_roots(c0: float, c1: float, c2: float) -> list[complex]:
     disc = c1 * c1 - 4.0 * c2 * c0
     if disc >= 0.0:
         sq = math.sqrt(disc)
-        return [(-c1 + sq) / (2.0 * c2), (-c1 - sq) / (2.0 * c2)]
+        if c1 == 0.0:
+            # exact negatives, which inverse_laplace pairs into cosh/sinh
+            return [sq / (2.0 * c2), -sq / (2.0 * c2)]
+        # q adds two numbers of one sign, and c0/q (Vieta) gives the small
+        # root that -c1 + sq would lose to cancellation
+        q = -(c1 + math.copysign(sq, c1)) / 2.0
+        return [q / c2, c0 / q]
     re = -c1 / (2.0 * c2)
     im = math.sqrt(-disc) / (2.0 * c2)
     return [complex(re, im), complex(re, -im)]
@@ -263,6 +328,11 @@ def roots(d: Polynomial) -> list[tuple[complex, int]]:
         raise UnsupportedProblemError(f"degree {d.degree} denominator is unsupported")
 
     c = list(d.chopped().coeffs)
+    if len(c) < len(d.coeffs):
+        raise UnsupportedProblemError(
+            f"leading coefficient of denominator {d.coeffs} is negligible next to "
+            "the largest one: the roots it sets are beyond double precision"
+        )
     found: list[complex] = []
     while len(c) > 1 and c[0] == 0.0:
         found.append(0j)

@@ -16,6 +16,11 @@ its operator, and one inversion per operator serves every branch: one for
 both branches of cases 11/22, one each for the sum and the difference in
 the mixed cases.
 
+The envelopes are ``laplace.RClosedForm``. A branch is handed over as the
+plain list of its y0*phi and F*psi terms, a mixed-case branch as the halved
+terms of s and of +d or -d, and the closed form merges the terms that
+share a key.
+
 This module only solves. Checking a solution, and running the cases side
 by side, is ``validate``'s job; nothing here imports it.
 """
@@ -37,11 +42,8 @@ from .fuzzy import FuzzyNumber, RFun
 from .laplace import (
     ClosedForm,
     Polynomial,
+    RClosedForm,
     RationalFunction,
-    TermKind,
-    _BASIS,
-    _DERIVATIVE,
-    _KIND_ORDER,
     inverse_laplace,
 )
 
@@ -100,65 +102,6 @@ class FuzzyBVP:
 
     def effective_c(self, case: DiffCase) -> float:
         return self.c + self.v_height if case.is_mixed else self.c
-
-
-@dataclass(frozen=True)
-class RClosedForm:
-    """Closed form whose term coefficients are affine functions of r."""
-
-    terms: tuple[tuple[TermKind, float, RFun], ...]
-
-    def __post_init__(self):
-        cleaned = [
-            (kind, k, coeff)
-            for kind, k, coeff in self.terms
-            if coeff.c0 != 0.0 or coeff.c1 != 0.0
-        ]
-        cleaned.sort(key=lambda t: (_KIND_ORDER[t[0]], t[1]))
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    def evaluate(self, x, r: float):
-        """Envelope at level r: a scalar for scalar x, else an array shaped like x."""
-        values = self.evaluate_grid(np.ravel(x), (r,))[:, 0]
-        return values[0] if np.ndim(x) == 0 else values.reshape(np.shape(x))
-
-    def evaluate_grid(self, xs, rs, derivative: int = 0) -> np.ndarray:
-        """The ``derivative``-th x-derivative on an x-by-r grid, shape (len(xs), len(rs)).
-
-        The coefficients c0 + c1*r are formed once per term over all levels
-        and each basis function once over all x. Terms are summed one by
-        one in canonical order, and a term whose coefficient is exactly
-        zero at a level is left out there, so every value is bit-identical
-        to the plain closed form at level r, differentiated ``derivative``
-        times and evaluated term by term at x.
-        """
-        xs = np.asarray(xs, dtype=float)
-        rs = np.asarray(rs, dtype=float)
-        coeffs: dict[tuple[TermKind, float], np.ndarray] = {}
-        for kind, k, coeff in self.terms:
-            cr = coeff(rs)
-            coeffs[(kind, k)] = coeffs[(kind, k)] + cr if (kind, k) in coeffs else cr
-        for _ in range(derivative):
-            coeffs = {
-                (_DERIVATIVE[kind][0], k): _DERIVATIVE[kind][1] * cr * k
-                for (kind, k), cr in coeffs.items()
-                if not (kind is TermKind.EXP and k == 0.0)
-            }
-        # -0.0 is the exact additive identity, so the first term enters
-        # the sum unchanged, sign of zero included
-        total = np.full((xs.size, rs.size), -0.0)
-        term = np.empty_like(total)
-        live = np.zeros(rs.size, dtype=bool)
-        for kind, k in sorted(coeffs, key=lambda key: (_KIND_ORDER[key[0]], key[1])):
-            cr = coeffs[(kind, k)]
-            nonzero = cr != 0.0
-            if not nonzero.any():
-                continue
-            np.multiply(_BASIS[kind](k * xs)[:, None], cr, out=term, where=nonzero)
-            np.add(total, term, out=total, where=nonzero)
-            live |= nonzero
-        total[:, ~live] = 0.0  # a level with no terms is the zero form
-        return total
 
 
 @dataclass(frozen=True)
@@ -222,8 +165,6 @@ def _two_point(
             f"boundary elimination pivot vanished at L={L}; the domain "
             "length is an eigenvalue of the operator"
         )
-    phi_c, psi_c = phi.coeff_map(), psi.coeff_map()
-    keys = dict.fromkeys([*phi_c, *psi_c])
     out = []
     for y0, yL in pairs:
         _require_finite_numerator(a * y0.c0, a * y0.c1, b * y0.c0, b * y0.c1)
@@ -235,21 +176,10 @@ def _two_point(
                 "(rate k of the basis)"
             )
         _require_finite_numerator(a * f.c0, a * f.c1)
-        terms = []
-        for key in keys:
-            ph, ps = phi_c.get(key, 0.0), psi_c.get(key, 0.0)
-            terms.append((*key, RFun(y0.c0 * ph + f.c0 * ps, y0.c1 * ph + f.c1 * ps)))
+        terms = [(kind, k, y0.scaled(coeff)) for kind, k, coeff in phi.terms]
+        terms += [(kind, k, f.scaled(coeff)) for kind, k, coeff in psi.terms]
         out.append((RClosedForm(tuple(terms)), f))
     return out
-
-
-def _half_sum(s: RClosedForm, d: RClosedForm, sign: float) -> RClosedForm:
-    """(s + sign*d) / 2, merging terms that share a (kind, rate) key."""
-    coeffs: dict[tuple[TermKind, float], RFun] = {}
-    for form, j in ((s, 0.5), (d, 0.5 * sign)):
-        for kind, k, coeff in form.terms:
-            coeffs[(kind, k)] = coeffs.get((kind, k), RFun(0.0)) + coeff.scaled(j)
-    return RClosedForm(tuple((kind, k, coeff) for (kind, k), coeff in coeffs.items()))
 
 
 def solve(prob: FuzzyBVP) -> FuzzySolution:
@@ -309,4 +239,9 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
         prob.a, 0.0, -c_eff, prob.L, ((bc0.lower - bc0.upper, bcL.lower - bcL.upper),)
     )
     constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
-    return FuzzySolution(_half_sum(s, d, 1.0), _half_sum(s, d, -1.0), prob.case, prob, constants)
+    half_s = [(kind, k, coeff.scaled(0.5)) for kind, k, coeff in s.terms]
+    lower, upper = (
+        RClosedForm((*half_s, *((kind, k, coeff.scaled(j)) for kind, k, coeff in d.terms)))
+        for j in (0.5, -0.5)
+    )
+    return FuzzySolution(lower, upper, prob.case, prob, constants)

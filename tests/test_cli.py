@@ -327,6 +327,32 @@ class TestRun:
         assert all("UnsupportedProblemError" in line for line in err)
         assert not any("error: internal" in line for line in err)
 
+    @pytest.mark.parametrize(
+        "edits, mixed",
+        [
+            ([("b = 0\n", "b = 1e13\n"), ("c = -1\n", "c = -3e14\n")], "CaseInapplicableError"),
+            ([("a = 1\n", "a = 1e-320\n")], "UnsupportedProblemError"),
+        ],
+        ids=["dominated", "subnormal"],
+    )
+    def test_negligible_leading_coefficient_exit_1(self, tmp_path, capsys, edits, mixed):
+        text = WAVE_PROBLEM
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new)
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text)
+        out = tmp_path / "out"
+        assert main([str(problem), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            f"case {tag} failed" for tag in ("11", "22", "12", "21")
+        ]
+        assert all("UnsupportedProblemError" in line for line in err[:2])
+        assert all(mixed in line for line in err[2:])
+        assert not any("error: internal" in line for line in err)
+        assert not list(out.glob("case_*.csv"))
+
     def test_main_entry_point(self, tmp_path):
         problem = tmp_path / "problem.txt"
         problem.write_text(HOMOGENEOUS_PROBLEM)

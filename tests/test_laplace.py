@@ -1,5 +1,6 @@
 """Rational-function algebra, partial fractions, and the transform table."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +16,9 @@ from fuzzybvp import (
     ClosedForm,
     ClosedFormTerm,
     Polynomial,
+    RClosedForm,
     RationalFunction,
+    RFun,
     TermKind,
     UnsupportedProblemError,
     forward_laplace,
@@ -96,6 +99,20 @@ class TestRoots:
     def test_cubic_without_zero_root_rejected(self):
         with pytest.raises(UnsupportedProblemError):
             roots(Polynomial((1.0, 0.0, 0.0, 1.0)))
+
+    @pytest.mark.parametrize("coeffs", [(-3e14, 1e13, 1.0), (-1.0, 0.0, 1e-320)], ids=["dominated", "subnormal"])
+    def test_negligible_leading_coefficient_rejected(self, coeffs):
+        # chopping the leading coefficient would drop the degree, and a root with it
+        with pytest.raises(UnsupportedProblemError, match="negligible"):
+            roots(Polynomial(coeffs))
+
+    def test_small_root_without_cancellation(self):
+        # p^2 + 1e8 p + 1: -c1 + sqrt(disc) cancels to -7.45e-9 for the small root
+        with mpmath.workdps(60):
+            root = mpmath.sqrt(mpmath.mpf(1e8) ** 2 - 4)  # 60 digits absorb the cancellation
+            want = [float((-mpmath.mpf(1e8) - root) / 2), float((-mpmath.mpf(1e8) + root) / 2)]
+        got = [z.real for z, _ in roots(Polynomial((1.0, 1e8, 1.0)))]
+        assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
 
 
 class TestPartialFractions:
@@ -273,6 +290,16 @@ class TestEvaluateDifferentiate:
     def test_normalization_merges_duplicates(self):
         g = ClosedForm((term(TermKind.COS, 2.0, 1.0), term(TermKind.COS, 2.0, 0.5)))
         assert g.terms == (term(TermKind.COS, 2.0, 1.5),)
+
+    def test_both_closed_forms_normalize_alike(self):
+        # equal keys merge in first-seen order, exact-zero sums drop out, and
+        # the rest sort by kind, then rate
+        raw = [(TermKind.SIN, 2.0, 0.1), (TermKind.COSH, 1.0, 1.0), (TermKind.SIN, 2.0, 0.2),
+               (TermKind.EXP, 3.0, 4.0), (TermKind.COSH, 1.0, -1.0), (TermKind.EXP, -1.0, 5.0)]
+        want = [(TermKind.EXP, -1.0, 5.0), (TermKind.EXP, 3.0, 4.0), (TermKind.SIN, 2.0, 0.1 + 0.2)]
+        assert [tuple(t) for t in ClosedForm(tuple(term(*t) for t in raw)).terms] == want
+        affine = RClosedForm(tuple((kind, k, RFun(c, -c)) for kind, k, c in raw))
+        assert affine.terms == tuple((kind, k, RFun(c, -c)) for kind, k, c in want)
 
     def test_invalid_terms_rejected(self):
         with pytest.raises(ValueError):

@@ -65,6 +65,39 @@ def test_parser_sees_relative_deferred_and_absolute_imports(tmp_path):
     assert package_imports(source) == {"solver", "cli", "validate", "laplace", "fuzzy"}
 
 
+def private_imports(path: Path) -> list[str]:
+    """``module.name`` for every underscore-prefixed name a source file imports from the package."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module != "fuzzybvp" and not module.startswith("fuzzybvp."):
+            continue
+        found += [f"{module}.{alias.name}" for alias in node.names if alias.name.startswith("_")]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda path: path.stem)
+def test_no_private_names_cross_modules(path):
+    # a private name stays behind its module: an import of one is a rule
+    # that leaked out of the module that owns it
+    assert private_imports(path) == []
+
+
+def test_private_import_scan(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        "from .laplace import _BASIS, ClosedForm\n"
+        "from fuzzybvp.solver import _two_point\n"
+        "def f():\n"
+        "    from . import _hidden\n"
+        "from __future__ import annotations\n"
+        "from numpy import _core\n"
+    )
+    assert private_imports(source) == ["laplace._BASIS", "fuzzybvp.solver._two_point", "._hidden"]
+
+
 def test_every_public_name_resolves():
     missing = [name for name in fuzzybvp.__all__ if not hasattr(fuzzybvp, name)]
     assert not missing

@@ -1,5 +1,8 @@
 """The transform pipeline end to end, for all four differentiability cases."""
 
+from dataclasses import replace
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -216,6 +219,37 @@ class TestSolveUncoupled:
         prob = FuzzyBVP(a=1.0, b=1.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
         with pytest.raises(UnsupportedProblemError):
             solve(prob)
+
+    @pytest.mark.parametrize("a, b, c", [(1.0, 1e13, -3e14), (1e-320, 0.0, -1.0)], ids=["dominated", "subnormal"])
+    def test_negligible_leading_coefficient_refused(self, a, b, c):
+        # chopping a would lose a root: the first input once returned
+        # lower(0, 0) = 3.7e-13 instead of 1, the second a false eigenvalue
+        prob = FuzzyBVP(a=a, b=b, c=c, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
+        with pytest.raises(UnsupportedProblemError, match="negligible"):
+            solve(prob)
+        results = {r.case: r for r in enumerate_cases(replace(prob, case=None))}
+        assert not any(r.solved for r in results.values())
+        for case in (DiffCase.CASE_11, DiffCase.CASE_22):
+            assert results[case].error.startswith("UnsupportedProblemError")
+
+    def test_stiff_small_rate_matches_mpmath(self):
+        # y'' + 1e8 y' + y = 0: the slow rate -1e-8 must not come out of a
+        # cancelling quadratic formula (it once read -7.45e-9)
+        prob = FuzzyBVP(a=1.0, b=1e8, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
+        sol = solve(prob)
+        xs = np.linspace(0.0, 1.0, 11)
+        rs = np.array([0.0, 0.5, 1.0])
+        with mpmath.workdps(60):
+            root = mpmath.sqrt(mpmath.mpf(1e8) ** 2 - 4)
+            m1, m2 = (-mpmath.mpf(1e8) + root) / 2, (-mpmath.mpf(1e8) - root) / 2
+            for branch, y0, yL in ((sol.lower, BC0.lower, BCL.lower), (sol.upper, BC0.upper, BCL.upper)):
+                got = branch.evaluate_grid(xs, rs)
+                for j, r in enumerate(rs):
+                    y0r, yLr = mpmath.mpf(y0(r)), mpmath.mpf(yL(r))
+                    fast = (yLr - y0r * mpmath.exp(m1)) / (mpmath.exp(m2) - mpmath.exp(m1))
+                    for i, x in enumerate(xs):
+                        want = (y0r - fast) * mpmath.exp(m1 * x) + fast * mpmath.exp(m2 * x)
+                        assert abs(float((got[i, j] - want) / want)) <= 1e-14
 
 
 class TestSolveCoupled:
@@ -524,6 +558,15 @@ def _three_template_branch(a, b, c, L, y0, yL):
     return RClosedForm(terms), f
 
 
+def _half_sum(s, d, sign):
+    """(s + sign*d) / 2, merging terms that share a (kind, rate) key."""
+    coeffs = {}
+    for form, j in ((s, 0.5), (d, 0.5 * sign)):
+        for kind, k, coeff in form.terms:
+            coeffs[(kind, k)] = coeffs.get((kind, k), RFun(0.0)) + coeff.scaled(j)
+    return RClosedForm(tuple((kind, k, coeff) for (kind, k), coeff in coeffs.items()))
+
+
 def _three_template_solve(prob):
     """Envelopes and constants as the three-template kernel assembled them."""
     bc0, bcL = prob.bc0, prob.bcL
@@ -537,7 +580,7 @@ def _three_template_solve(prob):
     s, f_s = _three_template_branch(prob.a, 0.0, c_eff, prob.L, bc0.lower + bc0.upper, bcL.lower + bcL.upper)
     d, f_d = _three_template_branch(prob.a, 0.0, -c_eff, prob.L, bc0.lower - bc0.upper, bcL.lower - bcL.upper)
     constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
-    return solver._half_sum(s, d, 1.0), solver._half_sum(s, d, -1.0), constants
+    return _half_sum(s, d, 1.0), _half_sum(s, d, -1.0), constants
 
 
 def _term_scale(form: RClosedForm, xs, rs) -> np.ndarray:
