@@ -22,9 +22,9 @@ from fuzzybvp import (
 # solve in p^2. Repeated roots are rejected: the basis has no polynomial-
 # weighted terms, so resonant denominators are a hard method boundary.
 quad = Polynomial((2.0, -3.0, 1.0))                 # p^2 - 3p + 2
-print("roots of p^2 - 3p + 2:", [z for z, _ in roots(quad)])
+print("roots of p^2 - 3p + 2:", roots(quad))
 biquad = Polynomial((-1.3 ** 4, 0, 0, 0, 1))        # p^4 - 1.3^4
-print("roots of p^4 - 1.3^4:", [z for z, _ in roots(biquad)])
+print("roots of p^4 - 1.3^4:", roots(biquad))
 
 # Partial fractions via the residue formula num(root) / den'(root).
 f = RationalFunction(Polynomial((-3.0, 1.0)), quad)  # (p-3) / (p^2-3p+2)
@@ -42,7 +42,7 @@ for num, den, label in [
     (Polynomial((0.0, 0.0, 1.0)), biquad, "p^2/(p^4-1.3^4)"),
 ]:
     g = inverse_laplace(RationalFunction(num, den))
-    pretty = " + ".join(f"{t.coeff:g}*{t.kind.value}({t.k:g}x)" for t in g.terms)
+    pretty = " + ".join(f"{coeff:g}*{kind.value}({k:g}x)" for kind, k, coeff in g.terms)
     print(f"  {label:22s} -> {pretty}")
 
 # Round trip: transform the closed form back and compare coefficient-wise

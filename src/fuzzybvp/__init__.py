@@ -13,7 +13,6 @@ from .errors import (
 from .fuzzy import FuzzyNumber, RFun, add, h_difference, hausdorff, scale, triangular
 from .laplace import (
     ClosedForm,
-    ClosedFormTerm,
     Polynomial,
     RClosedForm,
     RationalFunction,
@@ -49,7 +48,6 @@ __all__ = [
     "CaseInapplicableError",
     "CaseResult",
     "ClosedForm",
-    "ClosedFormTerm",
     "DiffCase",
     "EigenvalueDegeneracyError",
     "FuzzyBVP",

@@ -6,10 +6,13 @@ Everything is double precision; root extraction is closed form only
 the solver pipeline can produce. Repeated roots are rejected outright
 rather than extending the basis with polynomial-weighted terms, and so is
 a leading coefficient too small next to the others to keep its root.
+Symmetric roots come out exact, by negation or conjugation, so the
+inverse pairs them by lookup, not by a tolerance.
 
 ``ClosedForm`` (float coefficients, from ``inverse_laplace``) and
-``RClosedForm`` (coefficients affine in r, the solution envelopes) share
-one normal form, ``_canonical``, and one derivative rule, ``_derivative``.
+``RClosedForm`` (coefficients affine in r, the solution envelopes) both
+hold plain (kind, k, coeff) triples and share one normal form,
+``_canonical``, and one derivative rule, ``_derivative``.
 """
 
 from __future__ import annotations
@@ -73,12 +76,12 @@ class Polynomial:
     def scaled(self, j: float) -> "Polynomial":
         return Polynomial(tuple(j * c for c in self.coeffs))
 
-    def chopped(self, tol: float = COEFF_TOL) -> "Polynomial":
+    def chopped(self) -> "Polynomial":
         """Zero out coefficients that are negligible next to the largest one."""
         scale = max(abs(c) for c in self.coeffs)
         if scale == 0.0:
             return self
-        return Polynomial(tuple(0.0 if abs(c) <= tol * scale else c for c in self.coeffs))
+        return Polynomial(tuple(0.0 if abs(c) <= COEFF_TOL * scale else c for c in self.coeffs))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -136,8 +139,7 @@ class TermKind(enum.Enum):
     SINH = "sinh"
 
 
-_KIND_ORDER = {TermKind.EXP: 0, TermKind.COS: 1, TermKind.SIN: 2,
-               TermKind.COSH: 3, TermKind.SINH: 4}
+_KIND_ORDER = {kind: i for i, kind in enumerate(TermKind)}
 
 # The basis function of each kind, and the term-wise derivative rule
 # d/dx kind(k*x) = sign * k * kind'(k*x); EXP(0), the constant, has none.
@@ -150,32 +152,6 @@ _DERIVATIVE = {
     TermKind.COSH: (TermKind.SINH, 1.0),
     TermKind.SINH: (TermKind.COSH, 1.0),
 }
-
-
-@dataclass(frozen=True)
-class ClosedFormTerm:
-    """One basis term coeff * kind(k * x).
-
-    Rates/frequencies of the trig and hyperbolic kinds are kept strictly
-    positive; a zero rate is only meaningful as the constant EXP(0). It
-    unpacks as (kind, k, coeff), like an ``RClosedForm`` term.
-    """
-
-    kind: TermKind
-    k: float
-    coeff: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.coeff) or not math.isfinite(self.k):
-            raise ValueError(f"non-finite term {self}")
-        if self.kind is not TermKind.EXP and self.k <= 0:
-            raise ValueError(f"{self.kind.value} requires a positive rate, got {self.k}")
-
-    def __iter__(self):
-        return iter((self.kind, self.k, self.coeff))
-
-    def evaluate(self, x):
-        return self.coeff * _BASIS[self.kind](self.k * x)
 
 
 def _canonical(terms, is_zero) -> list:
@@ -200,25 +176,32 @@ def _derivative(terms) -> list:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Finite sum of exp/cos/sin/cosh/sinh terms.
+    """Finite sum of exp/cos/sin/cosh/sinh terms, (kind, k, coeff) triples.
 
     Normalized so no two terms share a (kind, rate) pair; differentiation
     stays inside the basis, which is what makes residual checks exact.
-    Terms may also be given as (kind, k, coeff) triples.
+    Every term is finite, and the trig and hyperbolic rates are strictly
+    positive; a zero rate is only meaningful as the constant EXP(0).
     """
 
-    terms: tuple[ClosedFormTerm, ...] = ()
+    terms: tuple[tuple[TermKind, float, float], ...] = ()
 
     def __post_init__(self):
-        canonical = _canonical(self.terms, lambda c: c == 0.0)
-        object.__setattr__(self, "terms", tuple(ClosedFormTerm(*t) for t in canonical))
+        terms = tuple(_canonical(self.terms, lambda c: c == 0.0))
+        for kind, k, coeff in terms:
+            if not math.isfinite(coeff) or not math.isfinite(k):
+                raise ValueError(f"non-finite term {kind.value}, rate {k}, coefficient {coeff}")
+            if kind is not TermKind.EXP and k <= 0:
+                raise ValueError(f"{kind.value} requires a positive rate, got {k}")
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self, x):
         if not self.terms:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        total = self.terms[0].evaluate(x)
-        for t in self.terms[1:]:
-            total = total + t.evaluate(x)
+        (kind, k, coeff), *rest = self.terms
+        total = coeff * _BASIS[kind](k * x)
+        for kind, k, coeff in rest:
+            total = total + coeff * _BASIS[kind](k * x)
         return total
 
     def differentiate(self) -> "ClosedForm":
@@ -231,13 +214,10 @@ class ClosedForm:
         return ClosedForm(self.terms + other.terms)
 
     def coeff(self, kind: TermKind, k: float) -> float:
-        for t in self.terms:
-            if t.kind is kind and t.k == k:
-                return t.coeff
-        return 0.0
+        return self.coeff_map().get((kind, k), 0.0)
 
     def coeff_map(self) -> dict[tuple[TermKind, float], float]:
-        return {(t.kind, t.k): t.coeff for t in self.terms}
+        return {(kind, k): coeff for kind, k, coeff in self.terms}
 
 
 @dataclass(frozen=True)
@@ -312,8 +292,8 @@ def _complex_sqrt(q: complex) -> complex:
     return q ** 0.5
 
 
-def roots(d: Polynomial) -> list[tuple[complex, int]]:
-    """Closed-form roots of a denominator polynomial, with multiplicities.
+def roots(d: Polynomial) -> list[complex]:
+    """Closed-form roots of a denominator polynomial; every root is simple.
 
     Supports degrees 1 and 2, higher degrees after factoring out a zero
     root, and biquadratic quartics (odd coefficients all zero). Any
@@ -360,7 +340,7 @@ def roots(d: Polynomial) -> list[tuple[complex, int]]:
             raise UnsupportedProblemError(
                 f"repeated root near {a}: resonant problems are outside this method"
             )
-    return [(z, 1) for z in found]
+    return found
 
 
 def partial_fractions(f: RationalFunction) -> list[tuple[complex, complex]]:
@@ -373,7 +353,7 @@ def partial_fractions(f: RationalFunction) -> list[tuple[complex, complex]]:
         return []
     dprime = f.denominator.derivative()
     out = []
-    for root, _ in roots(f.denominator):
+    for root in roots(f.denominator):
         out.append((f.numerator.evaluate(root) / dprime.evaluate(root), root))
     return out
 
@@ -387,76 +367,39 @@ def _require_real(value: complex, what: str) -> float:
 def inverse_laplace(f: RationalFunction) -> ClosedForm:
     """Invert a strictly proper rational function over the closed-form basis.
 
-    Real roots become exponentials, with exact +/- pairs collapsed to
-    cosh/sinh; pure-imaginary conjugate pairs become cos/sin. Roots with
-    both parts nonzero would need exponentially damped oscillations the
-    basis does not contain, so they are rejected, and so are non-finite
+    One pass over the residue of each root, as ``roots`` forms them: the
+    origin gives a constant, a real root an exponential, and a real root
+    whose exact negation is also a root pairs with it into cosh/sinh at the
+    positive rate. A pure-imaginary root gives cos/sin at its positive
+    frequency; its conjugate carries the conjugate residue. Nearly
+    symmetric real roots are not a pair and stay two exponentials. Roots
+    with both parts nonzero would need exponentially damped oscillations
+    the basis does not contain, so they are rejected, and so are non-finite
     roots or residues, which coefficients near the double-precision range
     produce.
     """
-    pairs = partial_fractions(f)
-    if not all(cmath.isfinite(res) and cmath.isfinite(root) for res, root in pairs):
+    residues = {root: res for res, root in partial_fractions(f)}
+    if not all(cmath.isfinite(res) and cmath.isfinite(root) for root, res in residues.items()):
         raise UnsupportedProblemError(
             f"non-finite root or residue for denominator {f.denominator.coeffs}: "
             "the coefficients are too large for double precision"
         )
-    terms: list[ClosedFormTerm] = []
-    consumed = [False] * len(pairs)
-
-    def _find_partner(target: complex, start: int) -> int | None:
-        for j in range(start + 1, len(pairs)):
-            if consumed[j]:
-                continue
-            _, rj = pairs[j]
-            if abs(rj - target) <= ROOT_SEP_TOL * max(1.0, abs(target)):
-                return j
-        return None
-
-    for i, (res, root) in enumerate(pairs):
-        if consumed[i]:
-            continue
-        consumed[i] = True
-        scale = max(1.0, abs(root))
-        is_real = abs(root.imag) <= COEFF_TOL * scale
-        is_imag = abs(root.real) <= COEFF_TOL * scale
-
-        if is_real and is_imag:
-            # root at the origin: a constant
-            c = _require_real(res, "residue at the origin")
-            if c != 0.0:
-                terms.append(ClosedFormTerm(TermKind.EXP, 0.0, c))
-        elif is_real:
-            j = _find_partner(-root, -1)
-            if j is None:
-                c = _require_real(res, f"residue at {root.real}")
-                if c != 0.0:
-                    terms.append(ClosedFormTerm(TermKind.EXP, root.real, c))
-            else:
-                consumed[j] = True
-                res_j = pairs[j][0]
-                if root.real > 0:
-                    r_plus, r_minus, k = res, res_j, root.real
-                else:
-                    r_plus, r_minus, k = res_j, res, -root.real
-                even = _require_real(r_plus + r_minus, f"cosh residue sum at {k}")
-                odd = _require_real(r_plus - r_minus, f"sinh residue gap at {k}")
-                if even != 0.0:
-                    terms.append(ClosedFormTerm(TermKind.COSH, k, even))
-                if odd != 0.0:
-                    terms.append(ClosedFormTerm(TermKind.SINH, k, odd))
-        elif is_imag:
-            j = _find_partner(root.conjugate(), -1)
-            if j is None:
-                raise ValueError(f"imaginary root {root} has no conjugate partner")
-            consumed[j] = True
-            res_top = res if root.imag > 0 else pairs[j][0]
-            k = abs(root.imag)
-            cos_c = 2.0 * res_top.real
-            sin_c = -2.0 * res_top.imag
-            if cos_c != 0.0:
-                terms.append(ClosedFormTerm(TermKind.COS, k, cos_c))
-            if sin_c != 0.0:
-                terms.append(ClosedFormTerm(TermKind.SIN, k, sin_c))
+    terms = []
+    for root, res in residues.items():
+        if root == 0:
+            terms.append((TermKind.EXP, 0.0, _require_real(res, "residue at the origin")))
+        elif root.imag == 0.0 and -root not in residues:
+            terms.append((TermKind.EXP, root.real, _require_real(res, f"residue at {root.real}")))
+        elif root.imag == 0.0:
+            if root.real > 0:  # the pair is emitted once, at its positive root
+                even = _require_real(res + residues[-root], f"cosh residue sum at {root.real}")
+                odd = _require_real(res - residues[-root], f"sinh residue gap at {root.real}")
+                terms.append((TermKind.COSH, root.real, even))
+                terms.append((TermKind.SINH, root.real, odd))
+        elif root.real == 0.0:
+            if root.imag > 0:  # the lower conjugate carries the conjugate residue
+                terms.append((TermKind.COS, root.imag, 2.0 * res.real))
+                terms.append((TermKind.SIN, root.imag, -2.0 * res.imag))
         else:
             raise UnsupportedProblemError(
                 f"root {root} is neither real nor pure imaginary; damped "
@@ -478,17 +421,16 @@ def forward_laplace(g: ClosedForm) -> RationalFunction:
     def _put(pole: complex, res: complex):
         residues[pole] = residues.get(pole, 0j) + res
 
-    for t in g.terms:
-        k, c = t.k, t.coeff
-        if t.kind is TermKind.EXP:
+    for kind, k, c in g.terms:
+        if kind is TermKind.EXP:
             _put(complex(k, 0.0), complex(c, 0.0))
-        elif t.kind is TermKind.COS:
+        elif kind is TermKind.COS:
             _put(complex(0.0, k), complex(c / 2.0, 0.0))
             _put(complex(0.0, -k), complex(c / 2.0, 0.0))
-        elif t.kind is TermKind.SIN:
+        elif kind is TermKind.SIN:
             _put(complex(0.0, k), complex(0.0, -c / 2.0))
             _put(complex(0.0, -k), complex(0.0, c / 2.0))
-        elif t.kind is TermKind.COSH:
+        elif kind is TermKind.COSH:
             _put(complex(k, 0.0), complex(c / 2.0, 0.0))
             _put(complex(-k, 0.0), complex(c / 2.0, 0.0))
         else:  # SINH

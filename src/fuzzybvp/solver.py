@@ -170,7 +170,7 @@ def _two_point(
         _require_finite_numerator(a * y0.c0, a * y0.c1, b * y0.c0, b * y0.c1)
         f = RFun((yL.c0 - y0.c0 * phi_L) / psi_L, (yL.c1 - y0.c1 * phi_L) / psi_L)
         if not all(math.isfinite(v) for v in (phi_L, psi_L, f.c0, f.c1)):
-            k = max(abs(t.k) for t in psi.terms)
+            k = max(abs(rate) for _, rate, _ in psi.terms)
             raise UnsupportedProblemError(
                 f"closed form overflows double precision at L={L}: k*L = {k * L:g} "
                 "(rate k of the basis)"

@@ -6,7 +6,6 @@ import numpy as np
 
 from fuzzybvp import (
     ClosedForm,
-    ClosedFormTerm,
     FuzzyNumber,
     Polynomial,
     RationalFunction,
@@ -29,7 +28,7 @@ def random_fuzzy(rng: np.random.Generator, magnitude: float = 5.0) -> FuzzyNumbe
 
 def fix_r(form: RClosedForm, r: float) -> ClosedForm:
     """The plain closed form of an envelope at one level: the reference for bit-identity checks."""
-    return ClosedForm(tuple(ClosedFormTerm(kind, k, coeff(r)) for kind, k, coeff in form.terms))
+    return ClosedForm(tuple((kind, k, coeff(r)) for kind, k, coeff in form.terms))
 
 
 def _pole_group(rng: np.random.Generator, kind: str) -> Polynomial:
@@ -74,7 +73,7 @@ def random_supported_rational(rng: np.random.Generator) -> RationalFunction:
         for kind in menu:
             den = den * _pole_group(rng, kind)
         try:
-            pole_list = [z for z, _ in roots(den)]
+            pole_list = roots(den)
         except Exception:
             continue  # coincident factors, redraw
         if len({(round(z.real, 6), round(z.imag, 6)) for z in pole_list}) < len(pole_list):

@@ -14,7 +14,6 @@ from conftest import (
 )
 from fuzzybvp import (
     ClosedForm,
-    ClosedFormTerm,
     Polynomial,
     RClosedForm,
     RationalFunction,
@@ -29,7 +28,7 @@ from fuzzybvp import (
 
 
 def term(kind, k, coeff):
-    return ClosedFormTerm(kind, k, coeff)
+    return (kind, k, coeff)
 
 
 class TestPolynomial:
@@ -59,12 +58,12 @@ class TestPolynomial:
 
 class TestRoots:
     def test_quadratic_distinct_reals(self):
-        got = [z for z, m in roots(Polynomial((2.0, -3.0, 1.0)))]
+        got = [z for z in roots(Polynomial((2.0, -3.0, 1.0)))]
         assert got == [1.0, 2.0]
 
     def test_difference_of_squares(self):
         k = 1.7
-        got = [z for z, _ in roots(Polynomial((-k * k, 0.0, 1.0)))]
+        got = [z for z in roots(Polynomial((-k * k, 0.0, 1.0)))]
         assert got == pytest.approx([-k, k])
 
     def test_biquadratic(self):
@@ -75,7 +74,7 @@ class TestRoots:
         assert expanded.coeffs == pytest.approx(quartic.coeffs)
 
         got = sorted(
-            (z for z, _ in roots(quartic)), key=lambda z: (z.real, z.imag)
+            (z for z in roots(quartic)), key=lambda z: (z.real, z.imag)
         )
         want = sorted([k, -k, 1j * k, -1j * k], key=lambda z: (z.real, z.imag))
         assert got == pytest.approx(want)
@@ -85,7 +84,7 @@ class TestRoots:
 
     def test_cubic_with_zero_root(self):
         k = 2.0
-        got = [z for z, _ in roots(Polynomial((0.0, k * k, 0.0, 1.0)))]
+        got = [z for z in roots(Polynomial((0.0, k * k, 0.0, 1.0)))]
         assert sorted(got, key=lambda z: z.imag) == pytest.approx([-2j, 0.0, 2j])
 
     def test_repeated_root_rejected(self):
@@ -111,7 +110,7 @@ class TestRoots:
         with mpmath.workdps(60):
             root = mpmath.sqrt(mpmath.mpf(1e8) ** 2 - 4)  # 60 digits absorb the cancellation
             want = [float((-mpmath.mpf(1e8) - root) / 2), float((-mpmath.mpf(1e8) + root) / 2)]
-        got = [z.real for z, _ in roots(Polynomial((1.0, 1e8, 1.0)))]
+        got = [z.real for z in roots(Polynomial((1.0, 1e8, 1.0)))]
         assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
 
 
@@ -169,9 +168,9 @@ class TestInverseLaplace:
         f = RationalFunction(Polynomial((1.0,)), Polynomial((k * k, 0.0, 1.0)))
         g = inverse_laplace(f)
         assert len(g.terms) == 1
-        t = g.terms[0]
-        assert t.kind is TermKind.SIN and t.k == pytest.approx(k)
-        assert t.coeff == pytest.approx(1 / k)
+        kind, rate, coeff = g.terms[0]
+        assert kind is TermKind.SIN and rate == pytest.approx(k)
+        assert coeff == pytest.approx(1 / k)
 
     def test_two_exponentials(self):
         f = RationalFunction(Polynomial((-3.0, 1.0)), Polynomial((2.0, -3.0, 1.0)))
@@ -187,6 +186,24 @@ class TestInverseLaplace:
         f = RationalFunction(Polynomial((1.0,)), Polynomial((1.0, 1.0, 1.0)))
         with pytest.raises(UnsupportedProblemError):
             inverse_laplace(f)
+
+    def test_barely_damped_oscillation_rejected(self):
+        # roots -7.5e-13 +/- i: the damping is small but not zero, so no cos/sin
+        # pair (a middle coefficient at most 1e-12 of the largest is chopped to 0)
+        f = RationalFunction(Polynomial((1.0,)), Polynomial((1.0, 1.5e-12, 1.0)))
+        with pytest.raises(UnsupportedProblemError, match="neither real nor pure imaginary"):
+            inverse_laplace(f)
+
+    @pytest.mark.parametrize("k, b, L", [(1.0, 1e-10, 5.0), (100.0, 5e-8, 0.3), (100.0, 9e-8, 0.35)])
+    def test_nearly_symmetric_real_roots_stay_exponentials(self, k, b, L):
+        # psi = 1/(p^2 + b p - k^2) has roots r1, r2 = -b/2 +/- sqrt(b^2/4 + k^2); a
+        # cosh/sinh pair at one root's rate would drop the factor e^{-bx/2}
+        psi = inverse_laplace(RationalFunction(Polynomial((1.0,)), Polynomial((-k * k, b, 1.0))))
+        with mpmath.workdps(50):
+            disc = mpmath.sqrt(mpmath.mpf(b) ** 2 + 4 * mpmath.mpf(k) ** 2)
+            r1, r2 = (-b + disc) / 2, (-b - disc) / 2
+            want = (mpmath.exp(r1 * L) - mpmath.exp(r2 * L)) / (r1 - r2)
+            assert abs((psi.evaluate(L) - want) / want) <= 1e-13
 
     def test_linearity(self):
         rng = np.random.default_rng(23)
@@ -303,6 +320,6 @@ class TestEvaluateDifferentiate:
 
     def test_invalid_terms_rejected(self):
         with pytest.raises(ValueError):
-            ClosedFormTerm(TermKind.COS, 0.0, 1.0)
+            ClosedForm(((TermKind.COS, 0.0, 1.0),))
         with pytest.raises(ValueError):
-            ClosedFormTerm(TermKind.EXP, float("inf"), 1.0)
+            ClosedForm(((TermKind.EXP, float("inf"), 1.0),))
