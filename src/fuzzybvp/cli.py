@@ -6,8 +6,9 @@ human-readable solution summary, one CSV of envelope samples per solved
 case, and a validity report block per requested case.
 
 Exit codes: 0 when at least one requested case produced a solution,
-1 when every requested case failed, 2 on a parse failure, 3 on an
-unexpected internal error (reported as one ``error: internal:`` line).
+1 when every requested case failed, 2 when the file cannot be read (missing,
+or not UTF-8) or parsed, 3 on an unexpected internal error (reported as one
+``error: internal:`` line).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from .errors import InvalidFuzzyNumberError, ProblemFormatError
 from .fuzzy import FuzzyNumber, RFun, triangular
-from .solver import ALL_CASES, DiffCase, FuzzyBVP
-from .validate import CaseResult, check_case, oracle_gap
+from .solver import DiffCase, FuzzyBVP
+from .validate import CaseResult, check_case, enumerate_cases, oracle_gap
 
 CASE_CHOICES = ("11", "22", "12", "21", "all")
 
@@ -197,16 +198,24 @@ def parse_problem_file(path) -> ProblemSpec:
 
 
 def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
-    cases = ALL_CASES if spec.case_request == "all" else (DiffCase(spec.case_request),)
-    results = [check_case(spec.problem, case, spec.x_samples, spec.r_levels) for case in cases]
-    if oracle:
-        results = [
-            replace(res, report=replace(res.report, oracle_max_gap=oracle_gap(res.solution)))
-            if res.solved
-            else res
-            for res in results
-        ]
-    return results
+    grid = (spec.x_samples, spec.r_levels)
+    if spec.case_request == "all":
+        results = enumerate_cases(spec.problem, *grid)
+    else:
+        results = [check_case(spec.problem, DiffCase(spec.case_request), *grid)]
+    if not oracle:
+        return results
+    # twins share their envelopes, so one oracle run per family serves both
+    gaps: dict[bool, float] = {}
+    for res in results:
+        if res.solved and res.case.is_mixed not in gaps:
+            gaps[res.case.is_mixed] = oracle_gap(res.solution)
+    return [
+        replace(res, report=replace(res.report, oracle_max_gap=gaps[res.case.is_mixed]))
+        if res.solved
+        else res
+        for res in results
+    ]
 
 
 def _write_csv(path: Path, sol, x_samples: int, r_levels: int) -> None:
@@ -260,7 +269,7 @@ def run(
     """Solve the problem file and emit summary, CSVs, and reports."""
     try:
         spec = parse_problem_file(path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     except ProblemFormatError as exc:

@@ -76,13 +76,6 @@ class Polynomial:
     def scaled(self, j: float) -> "Polynomial":
         return Polynomial(tuple(j * c for c in self.coeffs))
 
-    def chopped(self) -> "Polynomial":
-        """Zero out coefficients that are negligible next to the largest one."""
-        scale = max(abs(c) for c in self.coeffs)
-        if scale == 0.0:
-            return self
-        return Polynomial(tuple(0.0 if abs(c) <= COEFF_TOL * scale else c for c in self.coeffs))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0.0,) * (n - len(self.coeffs))
@@ -307,8 +300,10 @@ def roots(d: Polynomial) -> list[complex]:
     if d.degree > 4:
         raise UnsupportedProblemError(f"degree {d.degree} denominator is unsupported")
 
-    c = list(d.chopped().coeffs)
-    if len(c) < len(d.coeffs):
+    # only the leading coefficient is held against the others: a small
+    # middle or constant coefficient still sets a root and is kept
+    c = list(d.coeffs)
+    if abs(c[-1]) <= COEFF_TOL * max(abs(v) for v in c):
         raise UnsupportedProblemError(
             f"leading coefficient of denominator {d.coeffs} is negligible next to "
             "the largest one: the roots it sets are beyond double precision"

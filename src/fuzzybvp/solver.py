@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,6 +67,15 @@ class DiffCase(enum.Enum):
     @property
     def is_mixed(self) -> bool:
         return self in (DiffCase.CASE_12, DiffCase.CASE_21)
+
+    @property
+    def twin(self) -> "DiffCase":
+        """The case with both derivative types flipped: 11 <-> 22, 12 <-> 21."""
+        return DiffCase(self.value.translate(_FLIP_TYPES))
+
+
+# (1) <-> (2) in both digits of a case tag
+_FLIP_TYPES = str.maketrans("12", "21")
 
 
 ALL_CASES = (DiffCase.CASE_11, DiffCase.CASE_22, DiffCase.CASE_12, DiffCase.CASE_21)
@@ -118,6 +127,25 @@ class FuzzySolution:
     case: DiffCase
     problem: FuzzyBVP
     constants: dict[str, RFun]
+
+    def as_case(self, case: DiffCase) -> "FuzzySolution":
+        """This solution under ``case``, which is this case or its twin.
+
+        Twins solve the same branch problems, so the twin is relabelled, not
+        solved: 22 has the envelopes of 11 with the constants F1 and F2
+        swapped, and 21 is 12 unchanged, since both mixed cases solve with
+        c + v_height. ``problem.case`` follows the new tag.
+        """
+        if case is self.case:
+            return self
+        if case is not self.case.twin:
+            raise ValueError(f"case {case.tag} is not the twin of case {self.case.tag}")
+        constants = self.constants
+        if not case.is_mixed:
+            constants = {"F1": constants["F2"], "F2": constants["F1"]}
+        return FuzzySolution(
+            self.lower, self.upper, case, replace(self.problem, case=case), constants
+        )
 
 
 def _fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedForm]:
@@ -189,7 +217,9 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
     constant-coefficient problem, and both share one operator, so they go
     to the two-point kernel together and share one inversion. Under case 22
     the derivative endpoints swap twice, which restores the same template;
-    only which branch owns which constant (F1, F2) changes.
+    only which branch owns which constant (F1, F2) changes. So 22 gives the
+    envelopes of 11 with F1 and F2 swapped; ``FuzzySolution.as_case``
+    applies that rule to a solved twin instead of solving again.
 
     The mixed cases 12 and 21 swap endpoints in the second derivative, which
     couples the branches: a*lower'' = -c_eff*upper, a*upper'' = -c_eff*lower
@@ -203,7 +233,8 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
     ``CaseInapplicableError`` otherwise. Each is handed to the two-point
     kernel with its own operator, and the branches and their initial
     derivatives H1 = lower'(0), H2 = upper'(0) are recombined as half sums
-    and half differences.
+    and half differences. Cases 12 and 21 solve the same equations and give
+    the same solution.
     """
     if prob.case is None:
         raise CaseInapplicableError("problem has no differentiability case set")

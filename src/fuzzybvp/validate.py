@@ -12,7 +12,8 @@ r-grid decides the r-conditions exactly; in x the verdict is sampled.
 Solutions violating the conditions are reported, not rejected: which
 differentiability case produces a valid level set is exactly what a caller
 wants to inspect. ``check_case`` solves one case and checks it, turning a
-refusal into a value, and ``enumerate_cases`` runs it for all four.
+refusal into a value, and ``enumerate_cases`` runs it once per family of
+twin cases (11/22 and 12/21) and relabels the result for the twin.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EigenvalueDegeneracyError, FuzzyBvpError
-from .solver import ALL_CASES, DiffCase, FuzzyBVP, FuzzySolution, solve
+from .solver import DiffCase, FuzzyBVP, FuzzySolution, solve
 
 # Slack for the discrete monotonicity/ordering tests, relative to the
 # largest |envelope| on the grid.
@@ -158,9 +159,18 @@ def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> li
     """Run all four cases and attach validity reports; failures become values.
 
     The level-set criterion decides which differentiability case yields a
-    usable solution, so callers typically want all four side by side.
+    usable solution, so callers typically want all four side by side. Each
+    family is solved and checked once: 22 gets the envelopes of 11 with F1
+    and F2 swapped and 21 the solution of 12 (``FuzzySolution.as_case``),
+    and each twin shares the report, or the error text, of its family.
+    The results come in ``ALL_CASES`` order.
     """
-    return [check_case(prob, case, x_count, r_count) for case in ALL_CASES]
+    results = []
+    for case in (DiffCase.CASE_11, DiffCase.CASE_12):
+        res = check_case(prob, case, x_count, r_count)
+        twin = res.solution.as_case(case.twin) if res.solved else None
+        results += [res, replace(res, case=case.twin, solution=twin)]
+    return results
 
 
 def _thomas(sub: float, diag: float, sup: float, rhs: np.ndarray) -> None:

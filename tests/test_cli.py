@@ -17,6 +17,7 @@ from fuzzybvp.cli import (
 from test_solver import homogeneous_problem, paper_H, wave_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
 
 WAVE_PROBLEM = """\
 # wave problem with fuzzy boundary values
@@ -258,6 +259,13 @@ class TestRun:
     def test_missing_file_exit_2(self, tmp_path):
         assert run(tmp_path / "nope.txt", out_dir=tmp_path / "out") == 2
 
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys):
+        problem = tmp_path / "latin1.txt"
+        problem.write_bytes(HOMOGENEOUS_PROBLEM.replace("c = 2", "c = 2\xff").encode("latin-1"))
+        assert main([str(problem), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {problem}: 'utf-8' codec can't decode byte 0xff")
+
     def test_degenerate_grid_override_exit_2(self, tmp_path, capsys):
         problem = tmp_path / "problem.txt"
         problem.write_text(HOMOGENEOUS_PROBLEM)
@@ -396,6 +404,48 @@ class TestCsvBytes:
         assert len(rows) == 15
         for row in rows:
             assert row.split(",")[2:] == ["0.0000000000000000e+00"] * 2
+
+
+def _blocks(path: Path) -> list[str]:
+    """The blank-line separated blocks of a summary or report file."""
+    return [block.strip("\n") for block in path.read_text().split("\n\n") if block.strip()]
+
+
+class TestAllCasesMatchSingleCaseRuns:
+    """A case = all run writes what the four single-case runs write."""
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "oracle"])
+    @pytest.mark.parametrize("name", ["wave", "homogeneous"])
+    def test_same_bytes(self, tmp_path, capsys, name, oracle):
+        problem = str(DEMO_PROBLEMS / f"{name}.problem")
+        flags = ["--oracle"] if oracle else []
+        every = tmp_path / "all"
+        main([problem, "--case", "all", "--out", str(every), *flags])
+        reports, summary = _blocks(every / "report.txt"), _blocks(every / "summary.txt")
+        assert len(reports) == 4 and len(summary) == 5
+        for i, tag in enumerate(("11", "22", "12", "21")):
+            single = tmp_path / tag
+            main([problem, "--case", tag, "--out", str(single), *flags])
+            assert _blocks(single / "report.txt") == [reports[i]]
+            assert _blocks(single / "summary.txt") == [summary[0], summary[1 + i]]
+            csv = f"case_{tag}.csv"
+            assert (single / csv).exists() == (every / csv).exists()
+            if (single / csv).exists():
+                assert (single / csv).read_bytes() == (every / csv).read_bytes()
+
+    def test_oracle_runs_once_per_family(self, tmp_path, monkeypatch):
+        seen = []
+
+        def counting(sol, *args, **kwargs):
+            seen.append(sol.case)
+            return validate.oracle_gap(sol, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "oracle_gap", counting)
+        out = tmp_path / "out"
+        assert main([str(DEMO_PROBLEMS / "wave.problem"), "--case", "all", "--oracle", "--out", str(out)]) == 0
+        assert seen == [DiffCase.CASE_11, DiffCase.CASE_12]
+        gaps = [l for l in (out / "report.txt").read_text().splitlines() if l.startswith("oracle_max_gap")]
+        assert len(gaps) == 4 and gaps[0] == gaps[1] and gaps[2] == gaps[3]
 
 
 class TestInternalError:

@@ -113,6 +113,15 @@ class TestRoots:
         got = [z.real for z in roots(Polynomial((1.0, 1e8, 1.0)))]
         assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
 
+    def test_tiny_constant_coefficient_keeps_its_root(self):
+        # p^2 + p + 1e-13: the small root -1e-13 is set by the constant
+        # coefficient, so that coefficient is not dropped as negligible
+        with mpmath.workdps(60):
+            root = mpmath.sqrt(1 - 4 * mpmath.mpf(1e-13))
+            want = [float((-1 - root) / 2), float((-1 + root) / 2)]
+        got = [z.real for z in roots(Polynomial((1e-13, 1.0, 1.0)))]
+        assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
+
 
 class TestPartialFractions:
     def test_even_over_difference_of_squares(self):
@@ -189,7 +198,7 @@ class TestInverseLaplace:
 
     def test_barely_damped_oscillation_rejected(self):
         # roots -7.5e-13 +/- i: the damping is small but not zero, so no cos/sin
-        # pair (a middle coefficient at most 1e-12 of the largest is chopped to 0)
+        # pair (roots keeps a middle coefficient however small it is)
         f = RationalFunction(Polynomial((1.0,)), Polynomial((1.0, 1.5e-12, 1.0)))
         with pytest.raises(UnsupportedProblemError, match="neither real nor pure imaginary"):
             inverse_laplace(f)
@@ -204,6 +213,19 @@ class TestInverseLaplace:
             r1, r2 = (-b + disc) / 2, (-b - disc) / 2
             want = (mpmath.exp(r1 * L) - mpmath.exp(r2 * L)) / (r1 - r2)
             assert abs((psi.evaluate(L) - want) / want) <= 1e-13
+
+    def test_tiny_damping_keeps_two_exponentials(self):
+        # 1/(p^2 + 1e-13 p - 1): roots -5e-14 +/- (1 + 1.25e-27), not an exact
+        # +/- pair, so no cosh/sinh at one root's rate
+        psi = inverse_laplace(RationalFunction(Polynomial((1.0,)), Polynomial((-1.0, 1e-13, 1.0))))
+        assert [kind for kind, _, _ in psi.terms] == [TermKind.EXP, TermKind.EXP]
+        with mpmath.workdps(50):
+            b = mpmath.mpf(1e-13)
+            disc = mpmath.sqrt(b**2 + 4)
+            r1, r2 = (-b + disc) / 2, (-b - disc) / 2
+            for x in (0.5, 5.0, 30.0):
+                want = (mpmath.exp(r1 * x) - mpmath.exp(r2 * x)) / (r1 - r2)
+                assert abs((psi.evaluate(x) - want) / want) <= 1e-14
 
     def test_linearity(self):
         rng = np.random.default_rng(23)

@@ -219,6 +219,13 @@ class TestSolveUncoupled:
         with pytest.raises(UnsupportedProblemError):
             solve(prob)
 
+    def test_small_damping_raises(self):
+        # roots -5e-8 +/- 1000i: b is 1e-13 of c, yet the damping is real and
+        # an undamped cos/sin pair would be off by 5e-8 relative at x = 1
+        prob = FuzzyBVP(a=1.0, b=1e-7, c=1e6, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
+        with pytest.raises(UnsupportedProblemError, match="neither real nor pure imaginary"):
+            solve(prob)
+
     @pytest.mark.parametrize("a, b, c", [(1.0, 1e13, -3e14), (1e-320, 0.0, -1.0)], ids=["dominated", "subnormal"])
     def test_negligible_leading_coefficient_refused(self, a, b, c):
         # chopping a would lose a root: the first input once returned

@@ -1,6 +1,6 @@
 """Level-set checks, residual measurement, and the finite-difference oracle."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,6 +16,7 @@ from fuzzybvp import (
     FuzzyNumber,
     RClosedForm,
     RFun,
+    check_case,
     check_level_set,
     enumerate_cases,
     fd_oracle,
@@ -24,6 +25,7 @@ from fuzzybvp import (
     residual_ode,
     solve,
 )
+from fuzzybvp import validate
 from test_solver import homogeneous_problem, wave_problem
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))
@@ -153,6 +155,94 @@ class TestCheckCase:
             assert isinstance(res, CaseResult)
             assert not res.solved and res.report is None
             assert res.error.startswith("UnsupportedProblemError: non-finite root or residue")
+
+
+_coef = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def _fuzzy(draw):
+    lo0, lo1, up0, up1 = draw(_coef), draw(st.floats(0.0, 3.0)), draw(_coef), draw(st.floats(0.0, 3.0))
+    return FuzzyNumber(RFun(lo0 - lo1, lo1), RFun(max(lo0, up0) + up1, -up1))
+
+
+@st.composite
+def enumerable_problems(draw):
+    """Problems with no case set: some solve in both families, some in one or none."""
+    a = draw(st.floats(0.2, 3.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    L = draw(st.floats(0.1, 3.0))
+    height = draw(st.floats(-3.0, 3.0))
+    if draw(st.booleans()):
+        # b = 0 and kappa = k^2 > 0: the mixed cases apply too
+        k = draw(st.floats(0.05, 7.0)) / L
+        b, c = 0.0, -a * k * k - height
+    else:
+        # any sign of kappa, a y' term, damped roots, eigenvalue lengths
+        b = draw(st.just(0.0) | st.floats(-5.0, 5.0))
+        c = draw(st.floats(-20.0, 20.0) | st.just(np.pi**2))
+    if draw(st.integers(0, 5)) == 0:
+        L *= 300.0  # a growing basis overflows, an oscillating one does not
+    return FuzzyBVP(a=a, b=b, c=c, L=L, bc0=draw(_fuzzy()), bcL=draw(_fuzzy()), v_height=height)
+
+
+def _assert_same_result(got: CaseResult, want: CaseResult) -> None:
+    """Field by field, floats by ==."""
+    assert got.case is want.case
+    assert got.error == want.error
+    if want.report is None:
+        assert got.report is None
+    else:
+        for field in fields(want.report):
+            assert getattr(got.report, field.name) == getattr(want.report, field.name), field.name
+    if want.solution is None:
+        assert got.solution is None
+        return
+    sol, ref = got.solution, want.solution
+    assert sol.case is ref.case
+    assert sol.problem == ref.problem
+    assert sol.lower.terms == ref.lower.terms
+    assert sol.upper.terms == ref.upper.terms
+    assert list(sol.constants.items()) == list(ref.constants.items())
+
+
+class TestOneSolvePerFamily:
+    """enumerate_cases solves 11 and 12 and relabels them as 22 and 21."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(prob=enumerable_problems())
+    def test_equals_four_direct_solves(self, prob):
+        got = enumerate_cases(prob, 11, 4)
+        want = [check_case(prob, case, 11, 4) for case in ALL_CASES]
+        assert len(got) == len(want)
+        for res, ref in zip(got, want):
+            _assert_same_result(res, ref)
+
+    @pytest.mark.parametrize(
+        "prob", [wave_problem(case=None), homogeneous_problem(case=None)],
+        ids=["both-families-solve", "mixed-refused"],
+    )
+    def test_one_solve_per_family(self, monkeypatch, prob):
+        seen = []
+
+        def counting(p):
+            seen.append(p.case)
+            return solve(p)
+
+        monkeypatch.setattr(validate, "solve", counting)
+        results = enumerate_cases(prob)
+        assert seen == [DiffCase.CASE_11, DiffCase.CASE_12]
+        assert [r.case for r in results] == list(ALL_CASES)
+
+    def test_twin_of_a_solution(self):
+        s11 = solve(wave_problem(DiffCase.CASE_11))
+        s12 = solve(wave_problem(DiffCase.CASE_12))
+        assert s11.as_case(DiffCase.CASE_11) is s11
+        s22 = s11.as_case(DiffCase.CASE_22)
+        assert s22.problem.case is s22.case is DiffCase.CASE_22
+        assert (s22.constants["F1"], s22.constants["F2"]) == (s11.constants["F2"], s11.constants["F1"])
+        assert s12.as_case(DiffCase.CASE_21).constants == s12.constants
+        with pytest.raises(ValueError, match="not the twin"):
+            s11.as_case(DiffCase.CASE_12)
 
 
 class TestResiduals:
