@@ -407,9 +407,13 @@ def forward_laplace(g: ClosedForm) -> RationalFunction:
     """Transform a closed form back to a rational function.
 
     Each basis term contributes residues at its poles (the classical table
-    entries); residues at coinciding poles are merged before the rational
-    function is reassembled, so the returned denominator always has
-    distinct roots.
+    entries), merged at coinciding poles. The result is a sum of one real
+    rational function per pole group, grouped as ``inverse_laplace`` pairs
+    them: +-iw, with r the residue at +iw, gives
+    (2*Re r*p - 2w*Im r)/(p^2 + w^2); real +-k gives
+    ((r+ + r-)*p + k*(r+ - r-))/(p^2 - k^2); any other pole r/(p - pole).
+    So a denominator whose poles all come in +- pairs is a product of even
+    factors, with odd coefficients exactly zero, as ``roots`` needs.
     """
     residues: dict[complex, complex] = {}
 
@@ -432,45 +436,21 @@ def forward_laplace(g: ClosedForm) -> RationalFunction:
             _put(complex(k, 0.0), complex(c / 2.0, 0.0))
             _put(complex(-k, 0.0), complex(-c / 2.0, 0.0))
 
-    if residues:
-        biggest = max(abs(r) for r in residues.values())
-        poles = sorted(
-            (p for p, r in residues.items() if abs(r) > COEFF_TOL * biggest),
-            key=lambda z: (z.real, z.imag),
-        )
-    else:
-        poles = []
-    if not poles:
-        return RationalFunction(Polynomial((0.0,)), Polynomial((1.0,)))
-
-    def _mul(a: list[complex], b: list[complex]) -> list[complex]:
-        out = [0j] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    den = [complex(1.0)]
-    for p in poles:
-        den = _mul(den, [-p, complex(1.0)])
-    num = [0j] * max(1, len(den) - 1)
-    for p in poles:
-        partial = [complex(1.0)]
-        for q in poles:
-            if q is not p:
-                partial = _mul(partial, [-q, complex(1.0)])
-        r = residues[p]
-        for i, coef in enumerate(partial):
-            num[i] += r * coef
-
-    num_scale = max((abs(c) for c in num), default=1.0) or 1.0
-    den_scale = max(abs(c) for c in den)
-    num_real = [
-        0.0 if abs(c) <= COEFF_TOL * num_scale else _require_real(c, "numerator coefficient")
-        for c in num
-    ]
-    den_real = [
-        0.0 if abs(c) <= COEFF_TOL * den_scale else _require_real(c, "denominator coefficient")
-        for c in den
-    ]
-    return RationalFunction(Polynomial(tuple(num_real)), Polynomial(tuple(den_real)))
+    # a pole whose residues cancel exactly is no pole of the transform
+    residues = {pole: r for pole, r in residues.items() if r != 0}
+    total = RationalFunction(Polynomial((0.0,)), Polynomial((1.0,)))
+    for pole, r in residues.items():
+        if pole.imag != 0.0:
+            if pole.imag < 0:  # the conjugate residue of the pair at +iw
+                continue
+            w = pole.imag
+            num, den = (-2.0 * w * r.imag, 2.0 * r.real), (w * w, 0.0, 1.0)
+        elif pole.real != 0.0 and -pole in residues:
+            if pole.real < 0:  # the pair is formed once, at its positive pole
+                continue
+            k, r_minus = pole.real, residues[-pole].real
+            num, den = (k * (r.real - r_minus), r.real + r_minus), (-k * k, 0.0, 1.0)
+        else:
+            num, den = (r.real,), (-pole.real, 1.0)
+        total = total + RationalFunction(Polynomial(num), Polynomial(den))
+    return total

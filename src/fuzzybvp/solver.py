@@ -44,6 +44,7 @@ from .laplace import (
     Polynomial,
     RClosedForm,
     RationalFunction,
+    TermKind,
     inverse_laplace,
 )
 
@@ -133,8 +134,10 @@ class FuzzySolution:
 
         Twins solve the same branch problems, so the twin is relabelled, not
         solved: 22 has the envelopes of 11 with the constants F1 and F2
-        swapped, and 21 is 12 unchanged, since both mixed cases solve with
-        c + v_height. ``problem.case`` follows the new tag.
+        swapped, since under 22 the constant in each branch equation is the
+        opposite endpoint of the fuzzy derivative; 21 is 12 unchanged, since
+        both mixed cases solve with c + v_height. ``problem.case`` follows
+        the new tag.
         """
         if case is self.case:
             return self
@@ -143,9 +146,8 @@ class FuzzySolution:
         constants = self.constants
         if not case.is_mixed:
             constants = {"F1": constants["F2"], "F2": constants["F1"]}
-        return FuzzySolution(
-            self.lower, self.upper, case, replace(self.problem, case=case), constants
-        )
+        problem = self.problem if self.problem.case is case else replace(self.problem, case=case)
+        return FuzzySolution(self.lower, self.upper, case, problem, constants)
 
 
 def _fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedForm]:
@@ -173,6 +175,24 @@ def _require_finite_numerator(*values: float) -> None:
         )
 
 
+# The basis kinds bounded by 1 on any interval.
+_BOUNDED = (TermKind.COS, TermKind.SIN)
+
+
+def _peak(form: ClosedForm, L: float) -> float:
+    """A bound on every term of ``form`` and its first two x-derivatives on
+    [0, L], which ``validate.check_level_set`` evaluates: |coeff| times
+    max(1, k^2) times the peak of the basis, e^{max(k, 0)*L} for exp, cosh
+    and sinh and 1 for cos and sin."""
+    try:
+        return max([
+            abs(coeff) * max(1.0, k * k) * (1.0 if kind in _BOUNDED else math.exp(max(k, 0.0) * L))
+            for kind, k, coeff in form.terms
+        ])
+    except OverflowError:  # math.exp
+        return math.inf
+
+
 def _two_point(
     a: float, b: float, c: float, L: float, pairs: tuple[tuple[RFun, RFun], ...]
 ) -> list[tuple[RClosedForm, RFun]]:
@@ -193,11 +213,14 @@ def _two_point(
             f"boundary elimination pivot vanished at L={L}; the domain "
             "length is an eigenvalue of the operator"
         )
+    phi_peak, psi_peak = _peak(phi, L), _peak(psi, L)
     out = []
     for y0, yL in pairs:
         _require_finite_numerator(a * y0.c0, a * y0.c1, b * y0.c0, b * y0.c1)
         f = RFun((yL.c0 - y0.c0 * phi_L) / psi_L, (yL.c1 - y0.c1 * phi_L) / psi_L)
-        if not all(math.isfinite(v) for v in (phi_L, psi_L, f.c0, f.c1)):
+        # c0 + c1*r is at most |c0| + |c1| for r in [0, 1]
+        bounds = ((abs(y0.c0) + abs(y0.c1)) * phi_peak, (abs(f.c0) + abs(f.c1)) * psi_peak)
+        if not all(math.isfinite(v) for v in (phi_L, psi_L, f.c0, f.c1, *bounds)):
             k = max(abs(rate) for _, rate, _ in psi.terms)
             raise UnsupportedProblemError(
                 f"closed form overflows double precision at L={L}: k*L = {k * L:g} "
@@ -217,9 +240,9 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
     constant-coefficient problem, and both share one operator, so they go
     to the two-point kernel together and share one inversion. Under case 22
     the derivative endpoints swap twice, which restores the same template;
-    only which branch owns which constant (F1, F2) changes. So 22 gives the
-    envelopes of 11 with F1 and F2 swapped; ``FuzzySolution.as_case``
-    applies that rule to a solved twin instead of solving again.
+    only which branch owns which constant (F1, F2) changes. So both are
+    solved as case 11, and ``FuzzySolution.as_case`` relabels the solution
+    as 22, F1 and F2 swapped.
 
     The mixed cases 12 and 21 swap endpoints in the second derivative, which
     couples the branches: a*lower'' = -c_eff*upper, a*upper'' = -c_eff*lower
@@ -244,13 +267,8 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
             prob.a, prob.b, prob.c, prob.L,
             ((bc0.lower, bcL.lower), (bc0.upper, bcL.upper)),
         )
-        if prob.case is DiffCase.CASE_11:
-            constants = {"F1": f_lower, "F2": f_upper}
-        else:
-            # case 22: the constant in each branch equation is the opposite
-            # endpoint of the fuzzy derivative
-            constants = {"F1": f_upper, "F2": f_lower}
-        return FuzzySolution(lower, upper, prob.case, prob, constants)
+        constants = {"F1": f_lower, "F2": f_upper}
+        return FuzzySolution(lower, upper, DiffCase.CASE_11, prob, constants).as_case(prob.case)
 
     if prob.b != 0.0:
         raise CaseInapplicableError(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EigenvalueDegeneracyError, FuzzyBvpError
+from .errors import EigenvalueDegeneracyError, FuzzyBvpError, UnsupportedProblemError
 from .solver import DiffCase, FuzzyBVP, FuzzySolution, solve
 
 # Slack for the discrete monotonicity/ordering tests, relative to the
@@ -62,58 +62,52 @@ class ValidityReport:
         return "\n".join(lines)
 
 
-def _envelope_grids(sol: FuzzySolution, x_count: int, r_count: int):
-    """The levels and, per branch, the envelope and its first two x-derivatives.
-
-    Each array has shape (x_count, r_count); ``np.linspace`` makes the first
-    and last rows lie exactly at x = 0 and x = L.
-    """
-    xs = np.linspace(0.0, sol.problem.L, x_count)
-    rs = np.linspace(0.0, 1.0, r_count)
-    lower = [sol.lower.evaluate_grid(xs, rs, d) for d in range(3)]
-    upper = [sol.upper.evaluate_grid(xs, rs, d) for d in range(3)]
-    return rs, lower, upper
-
-
-def _max_ode_residual(sol: FuzzySolution, lo: list[np.ndarray], up: list[np.ndarray]) -> float:
-    prob = sol.problem
-    if sol.case.is_mixed:
-        c_eff = prob.effective_c(sol.case)
-        res_lo = prob.a * lo[2] + c_eff * up[0]
-        res_up = prob.a * up[2] + c_eff * lo[0]
-    else:
-        res_lo = prob.a * lo[2] + prob.b * lo[1] + prob.c * lo[0]
-        res_up = prob.a * up[2] + prob.b * up[1] + prob.c * up[0]
-    return float(max(np.max(np.abs(res_lo)), np.max(np.abs(res_up))))
-
-
 def residual_ode(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> float:
-    """Largest pointwise residual of the governing equation on the grid.
-
-    Decoupled cases measure |a*y'' + b*y' + c*y| per branch; the mixed
-    cases measure the coupled pair |a*lower'' + c_eff*upper| and
-    |a*upper'' + c_eff*lower|. Derivatives are exact term-wise rules, so
-    this is a genuine substitution check, not a finite difference.
-    """
-    _, lo, up = _envelope_grids(sol, x_count, r_count)
-    return _max_ode_residual(sol, lo, up)
+    """Largest pointwise residual of the governing equation on the grid:
+    ``check_level_set(sol, x_count, r_count).max_ode_residual``."""
+    return check_level_set(sol, x_count, r_count).max_ode_residual
 
 
 def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> ValidityReport:
     """Test the level-set conditions on an x-by-r grid and collect residuals.
 
-    The envelopes are affine in r, so the r-grid (which holds r = 0 and
-    r = 1) settles monotonicity and ordering for every level; in x the
-    conditions are checked at the ``x_count`` samples only. The slack is
-    ``GRID_TOL`` times the largest |envelope| on the grid, one scalar for
+    Each envelope and its first two x-derivatives are evaluated once on the
+    grid; ``np.linspace`` puts the first and last rows exactly at x = 0
+    and x = L. The envelopes are affine in r, so the r-grid (which holds
+    r = 0 and r = 1) settles monotonicity and ordering for every level; in
+    x the conditions are checked at the ``x_count`` samples only. The slack
+    is ``GRID_TOL`` times the largest |envelope| on the grid, one scalar for
     all three conditions, so the verdict does not change when the boundary
     data are scaled.
+
+    The ODE residual is |a*y'' + b*y' + c*y| per branch for the decoupled
+    cases and the coupled pair |a*lower'' + c_eff*upper|,
+    |a*upper'' + c_eff*lower| for the mixed ones. Derivatives are exact
+    term-wise rules, so this is a genuine substitution check, not a finite
+    difference. Since a != 0 and 0*inf is NaN, the residual is finite only
+    if every grid it is formed from is; a non-finite one raises
+    ``UnsupportedProblemError``.
     """
     if x_count < 2 or r_count < 2:
         raise ValueError("need at least a 2x2 grid")
     prob = sol.problem
-    rs, lo, up = _envelope_grids(sol, x_count, r_count)
-    tol = GRID_TOL * max(float(np.max(np.abs(lo[0]))), float(np.max(np.abs(up[0]))))
+    xs = np.linspace(0.0, prob.L, x_count)
+    rs = np.linspace(0.0, 1.0, r_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = [sol.lower.evaluate_grid(xs, rs, d) for d in range(3)]
+        up = [sol.upper.evaluate_grid(xs, rs, d) for d in range(3)]
+        if sol.case.is_mixed:
+            c_eff = prob.effective_c(sol.case)
+            residuals = (prob.a * lo[2] + c_eff * up[0], prob.a * up[2] + c_eff * lo[0])
+        else:
+            residuals = tuple(prob.a * y[2] + prob.b * y[1] + prob.c * y[0] for y in (lo, up))
+        max_ode_residual = float(np.max(np.abs(residuals)))
+    if not np.isfinite(max_ode_residual):
+        raise UnsupportedProblemError(
+            f"case {sol.case.tag} overflows double precision on [0, L={prob.L}]: "
+            "an envelope or one of its first two x-derivatives is not finite"
+        )
+    tol = GRID_TOL * float(np.max(np.abs((lo[0], up[0]))))
     boundary_gaps = (
         lo[0][0] - prob.bc0.lower(rs),
         up[0][0] - prob.bc0.upper(rs),
@@ -124,7 +118,7 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
         monotone_lower_in_r=bool(np.all(np.diff(lo[0], axis=1) >= -tol)),
         monotone_upper_in_r=bool(np.all(np.diff(up[0], axis=1) <= tol)),
         ordered=bool(np.all(lo[0] <= up[0] + tol)),
-        max_ode_residual=_max_ode_residual(sol, lo, up),
+        max_ode_residual=max_ode_residual,
         max_boundary_residual=float(np.max(np.abs(boundary_gaps))),
         grid=(x_count, r_count),
     )
@@ -150,9 +144,10 @@ def check_case(
     """Solve ``prob`` under ``case`` and check the solution; a refusal becomes a value."""
     try:
         sol = solve(replace(prob, case=case))
+        report = check_level_set(sol, x_count, r_count)
     except FuzzyBvpError as exc:
         return CaseResult(case, None, f"{type(exc).__name__}: {exc}", None)
-    return CaseResult(case, sol, None, check_level_set(sol, x_count, r_count))
+    return CaseResult(case, sol, None, report)
 
 
 def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> list[CaseResult]:

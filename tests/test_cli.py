@@ -1,5 +1,8 @@
 """Problem-file parsing, the run entry point, and its emitted artifacts."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ from test_solver import homogeneous_problem, paper_H, wave_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 WAVE_PROBLEM = """\
 # wave problem with fuzzy boundary values
@@ -307,6 +311,22 @@ class TestRun:
         assert len(err) == 4
         assert all("failed: UnsupportedProblemError" in line for line in err)
         assert (out / "report.txt").read_text().count("solved = false") == 4
+
+    def test_overflowing_derivative_exit_1_without_warning(self, tmp_path):
+        # k*L = 708.99: the second derivative the checker evaluates overflows
+        text = WAVE_PROBLEM.replace("a = 1\n", "a = 2.109375\n").replace("c = -1\n", "c = -6.109375\n")
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text.replace("L = 1\n", "L = 416.6015625\n").replace("case = all", "case = 11"))
+        done = subprocess.run(
+            [sys.executable, "-m", "fuzzybvp.cli", str(problem), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("case 11 failed: UnsupportedProblemError: closed form overflows")
+        assert "Warning" not in done.stderr and "Traceback" not in done.stderr
 
     @pytest.mark.parametrize(
         "edits",

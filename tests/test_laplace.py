@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import (
@@ -290,6 +290,58 @@ class TestForwardLaplace:
         for _ in range(50):
             f = random_supported_rational(rng)
             assert rational_close(forward_laplace(inverse_laplace(f)), f, tol=1e-12)
+
+
+_coeff = st.floats(-2.0, 2.0)
+_nonzero_coeff = st.tuples(st.floats(0.1, 2.0), st.sampled_from((1.0, -1.0))).map(
+    lambda t: t[0] * t[1]
+)
+
+
+@st.composite
+def _closed_form_group(draw, group: str, k: float) -> list:
+    """The terms of one pole group: +-k, +-ik or the origin. The residues at
+    +k and -k never cancel, so a +-k group keeps both poles."""
+    if group == "pm" and draw(st.booleans()):
+        return [(TermKind.EXP, k, draw(_nonzero_coeff)), (TermKind.EXP, -k, draw(_nonzero_coeff))]
+    if group == "pm":
+        c = draw(_nonzero_coeff)
+        return [(TermKind.COSH, k, c), (TermKind.SINH, k, c * draw(st.floats(-0.9, 0.9)))]
+    if group == "imag":
+        return [(TermKind.COS, k, draw(_coeff)), (TermKind.SIN, k, draw(_coeff))]
+    return [(TermKind.EXP, 0.0, draw(_coeff))]
+
+
+@st.composite
+def supported_closed_forms(draw) -> ClosedForm:
+    """Closed forms whose transform has a denominator ``roots`` factors:
+    +-k pairs at two rates, +-ik pairs, cosh(a) + cos(b), each alone or
+    with EXP(0)."""
+    groups = draw(st.sampled_from([
+        ("pm", "pm"), ("pm", "imag"), ("imag", "pm"), ("imag", "imag"),
+        ("pm",), ("imag",), ("zero", "pm"), ("zero", "imag"), ("zero",),
+    ]))
+    k1 = draw(st.floats(0.3, 3.0))
+    rates = (k1, k1 + draw(st.floats(0.05, 2.0)))
+    terms = []
+    for group, k in zip(groups, rates):
+        terms += draw(_closed_form_group(group, k))
+    return ClosedForm(tuple(terms))
+
+
+class TestForwardLaplacePoleGroups:
+    @given(g=supported_closed_forms())
+    # summed pole by pole, in either order, this leaves ~1e-17 in the odd
+    # coefficients of (p^2 - 0.09)(p^2 - 0.1225), and roots refuses it
+    @example(g=ClosedForm(tuple((TermKind.EXP, k, 1.0) for k in (-0.35, -0.3, 0.3, 0.35))))
+    def test_round_trip_and_even_denominator(self, g):
+        f = forward_laplace(g)
+        poles = np.roots(f.denominator.coeffs[::-1])
+        if all(abs(z) > 1e-9 and np.min(np.abs(poles + z)) <= 1e-6 * abs(z) for z in poles):
+            # every pole in a +- pair: an even denominator, exactly, or
+            # roots cannot factor a quartic
+            assert all(c == 0.0 for c in f.denominator.coeffs[1::2])
+        assert same_function(inverse_laplace(f), g)
 
 
 class TestEvaluateDifferentiate:

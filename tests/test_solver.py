@@ -32,6 +32,10 @@ BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))      # (1+r, 3-r)
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))      # (4+r, 6-r)
 
 
+# The wave boundary data with k*L just below ln(DBL_MAX) ~ 709.78.
+NEAR_OVERFLOW = FuzzyBVP(a=2.109375, b=0.0, c=-6.109375, L=416.6015625, bc0=BC0, bcL=BCL)
+
+
 def wave_problem(case=DiffCase.CASE_11, energy=1.0):
     """a*u'' = energy*u with the standard boundary data, on [0, 1]."""
     return FuzzyBVP(a=1.0, b=0.0, c=-energy, L=1.0, bc0=BC0, bcL=BCL, case=case)
@@ -431,6 +435,15 @@ class TestDispatchAndEnumeration:
         # cosh(800) overflows double precision: no NaN solution comes back
         prob = FuzzyBVP(a=1.0, b=0.0, c=-1.0, L=800.0, bc0=BC0, bcL=BCL, case=case)
         with pytest.raises(UnsupportedProblemError, match=r"k\*L = 800"):
+            solve(prob)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_overflowing_second_derivative_refused(self, case):
+        # k*L = 708.99: the values at L are finite, but the checker's
+        # y0*k^2*cosh(k*x) overflows, so the solve is refused
+        prob = replace(NEAR_OVERFLOW, case=case)
+        with pytest.raises(UnsupportedProblemError, match=r"k\*L = 708\.99"):
             solve(prob)
 
     @pytest.mark.filterwarnings("error")

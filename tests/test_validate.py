@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fuzzybvp import (
@@ -16,6 +16,8 @@ from fuzzybvp import (
     FuzzyNumber,
     RClosedForm,
     RFun,
+    TermKind,
+    UnsupportedProblemError,
     check_case,
     check_level_set,
     enumerate_cases,
@@ -26,7 +28,7 @@ from fuzzybvp import (
     solve,
 )
 from fuzzybvp import validate
-from test_solver import homogeneous_problem, wave_problem
+from test_solver import NEAR_OVERFLOW, homogeneous_problem, wave_problem
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))
@@ -146,7 +148,25 @@ class TestOnePass:
         assert report.max_boundary_residual == _endpoint_boundary_residual(sol, r_count)
 
 
+def _overflowing(sol):
+    """``sol`` with a lower envelope of 1e140*cosh(400x), which overflows on [0, 1]."""
+    return replace(sol, lower=RClosedForm(((TermKind.COSH, 400.0, RFun(1e140, 0.0)),)))
+
+
 class TestCheckCase:
+    @pytest.mark.parametrize("case", [DiffCase.CASE_11, DiffCase.CASE_12])
+    def test_non_finite_grid_fails(self, case):
+        with pytest.raises(UnsupportedProblemError, match=f"case {case.tag} overflows"):
+            check_level_set(_overflowing(wave_solution(case)))
+        with pytest.raises(UnsupportedProblemError):
+            residual_ode(_overflowing(wave_solution(case)))
+
+    def test_non_finite_grid_fails_the_case(self, monkeypatch):
+        monkeypatch.setattr(validate, "solve", lambda prob: _overflowing(solve(prob)))
+        res = check_case(wave_problem(case=None), DiffCase.CASE_11)
+        assert not res.solved and res.report is None
+        assert res.error.startswith("UnsupportedProblemError: case 11 overflows")
+
     @pytest.mark.parametrize("name", sorted(EXTREME_PROBLEMS))
     def test_overflowing_transform_fails_every_case(self, name):
         results = enumerate_cases(EXTREME_PROBLEMS[name])
@@ -210,6 +230,7 @@ class TestOneSolvePerFamily:
 
     @settings(max_examples=150, deadline=None)
     @given(prob=enumerable_problems())
+    @example(prob=NEAR_OVERFLOW)
     def test_equals_four_direct_solves(self, prob):
         got = enumerate_cases(prob, 11, 4)
         want = [check_case(prob, case, 11, 4) for case in ALL_CASES]
