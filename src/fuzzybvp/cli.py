@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import InvalidFuzzyNumberError, ProblemFormatError
 from .fuzzy import FuzzyNumber, RFun, triangular
+from .laplace import evaluate_grids
 from .solver import DiffCase, FuzzyBVP
 from .validate import CaseResult, check_case, enumerate_cases, oracle_gap
 
@@ -222,8 +223,7 @@ def _write_csv(path: Path, sol, x_samples: int, r_levels: int) -> None:
     # 17 significant digits, scientific: round-trips doubles on any platform
     xs = np.linspace(0.0, sol.problem.L, x_samples)
     rs = np.linspace(0.0, 1.0, r_levels)
-    lower = sol.lower.evaluate_grid(xs, rs).tolist()
-    upper = sol.upper.evaluate_grid(xs, rs).tolist()
+    lower, upper = evaluate_grids((sol.lower, sol.upper), xs, rs)[:, 0].tolist()
     r_text = [f"{r:.16e}" for r in rs.tolist()]
     rows = ["x,r,lower,upper"]
     for x, lo_row, up_row in zip(xs.tolist(), lower, upper):

@@ -228,36 +228,54 @@ class RClosedForm:
 
     def evaluate(self, x, r: float):
         """Envelope at level r: a scalar for scalar x, else an array shaped like x."""
-        values = self.evaluate_grid(np.ravel(x), (r,))[:, 0]
+        values = evaluate_grids((self,), np.ravel(x), (r,))[0, 0, :, 0]
         return values[0] if np.ndim(x) == 0 else values.reshape(np.shape(x))
 
     def evaluate_grid(self, xs, rs, derivative: int = 0) -> np.ndarray:
         """The ``derivative``-th x-derivative on an x-by-r grid, shape (len(xs), len(rs)).
+        A slice of ``evaluate_grids``: one basis evaluation per key, terms summed
+        in canonical order, zero coefficients masked, the bits of the plain form."""
+        return evaluate_grids((self,), xs, rs, (derivative,))[0, 0]
 
-        The coefficients c0 + c1*r are formed once per term over all levels
-        and each basis function once over all x. Terms are summed one by
-        one in canonical order, and a term whose coefficient is exactly
-        zero at a level is left out there, so every value is bit-identical
-        to the plain closed form at level r, differentiated ``derivative``
-        times and evaluated term by term at x.
-        """
-        xs = np.asarray(xs, dtype=float)
-        rs = np.asarray(rs, dtype=float)
-        terms = [(kind, k, coeff(rs)) for kind, k, coeff in self.terms]
-        for _ in range(derivative):
-            terms = _derivative(terms)
-        # -0.0 is the exact additive identity, so the first term enters
-        # the sum unchanged, sign of zero included
-        total = np.full((xs.size, rs.size), -0.0)
-        term = np.empty_like(total)
-        live = np.zeros(rs.size, dtype=bool)
-        for kind, k, cr in _canonical(terms, lambda cr: not cr.any()):
-            nonzero = cr != 0.0
-            np.multiply(_BASIS[kind](k * xs)[:, None], cr, out=term, where=nonzero)
-            np.add(total, term, out=total, where=nonzero)
-            live |= nonzero
-        total[:, ~live] = 0.0  # a level with no terms is the zero form
-        return total
+
+def evaluate_grids(forms, xs, rs, orders=(0,)) -> np.ndarray:
+    """The x-derivatives named by ``orders`` (0 is the form itself) of each form
+    on one x-by-r grid, shape (len(forms), len(orders), len(xs), len(rs)), with
+    the bits of the plain closed form at each level, differentiated and
+    evaluated term by term: each (kind, k) basis is evaluated once for all
+    forms and orders, and one pass over the keys in canonical order
+    (``_derivative`` maps each key to one key) sums every (form, order,
+    level) column in its own canonical order. A zero coefficient is masked
+    out of its column, so -0.0 keeps its sign, a column with no live term is
+    +0.0 and no 0*inf crosses forms.
+    """
+    xs = np.asarray(xs, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    columns = []  # the (kind, k, coeff) terms of each (form, order)
+    for form in forms:
+        by_order = [[(kind, k, coeff(rs)) for kind, k, coeff in form.terms]]
+        for _ in range(max(orders)):
+            by_order.append(_derivative(by_order[-1]))
+        columns += [by_order[d] for d in orders]
+    keys = {(kind, k) for terms in columns for kind, k, _ in terms}
+    keys = sorted(keys, key=lambda key: (_KIND_ORDER[key[0]], key[1]))
+    coeffs = np.zeros((len(keys), len(columns), rs.size))
+    for c, terms in enumerate(columns):
+        for kind, k, cr in terms:
+            coeffs[keys.index((kind, k)), c] = cr
+    # one row per (form, order, level), with x along it
+    coeffs = coeffs.reshape(len(keys), len(columns) * rs.size, 1)
+    nonzero = coeffs != 0.0
+    # -0.0 is the exact additive identity: a first term enters unchanged
+    total = np.full((len(columns) * rs.size, xs.size), -0.0)
+    term = np.empty_like(total)
+    for i in np.flatnonzero(nonzero.any(axis=(1, 2))):
+        kind, k = keys[i]
+        where = True if nonzero[i].all() else nonzero[i]  # True skips the masked loop
+        np.multiply(coeffs[i], _BASIS[kind](k * xs), out=term, where=where)
+        np.add(total, term, out=total, where=where)
+    total[~nonzero.any(axis=(0, 2))] = 0.0
+    return total.reshape(len(forms), len(orders), rs.size, xs.size).transpose(0, 1, 3, 2)
 
 
 def _quadratic_roots(c0: float, c1: float, c2: float) -> list[complex]:

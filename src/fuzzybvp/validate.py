@@ -4,10 +4,11 @@ and an independent finite-difference oracle for crisp cross-checks.
 A solution envelope is a valid level set when, at every point of the
 domain, the lower branch is non-decreasing in the membership level r, the
 upper branch is non-increasing, and lower <= upper. ``check_level_set`` is
-the one verdict. It evaluates each envelope and its first two x-derivatives
-once on an x-by-r grid and reads the monotonicity and ordering flags and
-both residuals from those arrays. The envelopes are affine in r, so the
-r-grid decides the r-conditions exactly; in x the verdict is sampled.
+the one verdict. One ``evaluate_grids`` pass (one basis evaluation per key
+for both branches and x-derivatives 0-2, canonical term order, zero
+coefficients masked) gives the grids that the monotonicity and ordering
+flags and both residuals are read from. The envelopes are affine in r, so
+the r-grid decides the r-conditions exactly; in x the verdict is sampled.
 
 Solutions violating the conditions are reported, not rejected: which
 differentiability case produces a valid level set is exactly what a caller
@@ -23,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EigenvalueDegeneracyError, FuzzyBvpError, UnsupportedProblemError
+from .laplace import evaluate_grids
 from .solver import DiffCase, FuzzyBVP, FuzzySolution, solve
 
 # Slack for the discrete monotonicity/ordering tests, relative to the
@@ -71,14 +73,14 @@ def residual_ode(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> f
 def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -> ValidityReport:
     """Test the level-set conditions on an x-by-r grid and collect residuals.
 
-    Each envelope and its first two x-derivatives are evaluated once on the
-    grid; ``np.linspace`` puts the first and last rows exactly at x = 0
-    and x = L. The envelopes are affine in r, so the r-grid (which holds
-    r = 0 and r = 1) settles monotonicity and ordering for every level; in
-    x the conditions are checked at the ``x_count`` samples only. The slack
-    is ``GRID_TOL`` times the largest |envelope| on the grid, one scalar for
-    all three conditions, so the verdict does not change when the boundary
-    data are scaled.
+    Both envelopes and their first two x-derivatives come from one
+    ``evaluate_grids`` pass; ``np.linspace`` puts the first and last rows
+    exactly at x = 0 and x = L. The envelopes are affine in r, so the
+    r-grid (which holds r = 0 and r = 1) settles monotonicity and ordering
+    for every level; in x the conditions are checked at the ``x_count``
+    samples only. The slack is ``GRID_TOL`` times the largest |envelope| on
+    the grid, one scalar for all three conditions, so the verdict does not
+    change when the boundary data are scaled.
 
     The ODE residual is |a*y'' + b*y' + c*y| per branch for the decoupled
     cases and the coupled pair |a*lower'' + c_eff*upper|,
@@ -94,30 +96,30 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
     xs = np.linspace(0.0, prob.L, x_count)
     rs = np.linspace(0.0, 1.0, r_count)
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = [sol.lower.evaluate_grid(xs, rs, d) for d in range(3)]
-        up = [sol.upper.evaluate_grid(xs, rs, d) for d in range(3)]
+        # y[branch, order]: branch 0 is lower, 1 upper
+        y = evaluate_grids((sol.lower, sol.upper), xs, rs, (0, 1, 2))
         if sol.case.is_mixed:
-            c_eff = prob.effective_c(sol.case)
-            residuals = (prob.a * lo[2] + c_eff * up[0], prob.a * up[2] + c_eff * lo[0])
+            residual = prob.a * y[:, 2] + prob.effective_c(sol.case) * y[::-1, 0]
         else:
-            residuals = tuple(prob.a * y[2] + prob.b * y[1] + prob.c * y[0] for y in (lo, up))
-        max_ode_residual = float(np.max(np.abs(residuals)))
+            residual = prob.a * y[:, 2] + prob.b * y[:, 1] + prob.c * y[:, 0]
+        max_ode_residual = float(np.max(np.abs(residual)))
     if not np.isfinite(max_ode_residual):
         raise UnsupportedProblemError(
             f"case {sol.case.tag} overflows double precision on [0, L={prob.L}]: "
             "an envelope or one of its first two x-derivatives is not finite"
         )
-    tol = GRID_TOL * float(np.max(np.abs((lo[0], up[0]))))
+    lower, upper = y[:, 0]
+    tol = GRID_TOL * float(np.max(np.abs(y[:, 0])))
     boundary_gaps = (
-        lo[0][0] - prob.bc0.lower(rs),
-        up[0][0] - prob.bc0.upper(rs),
-        lo[0][-1] - prob.bcL.lower(rs),
-        up[0][-1] - prob.bcL.upper(rs),
+        lower[0] - prob.bc0.lower(rs),
+        upper[0] - prob.bc0.upper(rs),
+        lower[-1] - prob.bcL.lower(rs),
+        upper[-1] - prob.bcL.upper(rs),
     )
     return ValidityReport(
-        monotone_lower_in_r=bool(np.all(np.diff(lo[0], axis=1) >= -tol)),
-        monotone_upper_in_r=bool(np.all(np.diff(up[0], axis=1) <= tol)),
-        ordered=bool(np.all(lo[0] <= up[0] + tol)),
+        monotone_lower_in_r=bool(np.all(np.diff(lower, axis=1) >= -tol)),
+        monotone_upper_in_r=bool(np.all(np.diff(upper, axis=1) <= tol)),
+        ordered=bool(np.all(lower <= upper + tol)),
         max_ode_residual=max_ode_residual,
         max_boundary_residual=float(np.max(np.abs(boundary_gaps))),
         grid=(x_count, r_count),
@@ -277,6 +279,7 @@ def oracle_gap(sol: FuzzySolution, n: int = 10_000, r_values=(0.0, 0.5, 1.0)) ->
         bc0, bcL = np.concatenate((lo0, up0)), np.concatenate((loL, upL))
         fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc0, bcL, n)
     xs = np.linspace(0.0, prob.L, n + 1)
-    fd[:, : rs.size] -= sol.lower.evaluate_grid(xs, rs)
-    fd[:, rs.size :] -= sol.upper.evaluate_grid(xs, rs)
+    lower, upper = evaluate_grids((sol.lower, sol.upper), xs, rs)[:, 0]
+    fd[:, : rs.size] -= lower
+    fd[:, rs.size :] -= upper
     return float(np.max(np.abs(fd, out=fd), initial=0.0))

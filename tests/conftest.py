@@ -31,6 +31,18 @@ def fix_r(form: RClosedForm, r: float) -> ClosedForm:
     return ClosedForm(tuple((kind, k, coeff(r)) for kind, k, coeff in form.terms))
 
 
+def per_point(branch: RClosedForm, xs, rs, derivative: int) -> np.ndarray:
+    """Reference values: one ``fix_r`` closed form per level, one scalar x at a time."""
+    out = np.empty((len(xs), len(rs)))
+    for j, r in enumerate(rs):
+        form = fix_r(branch, float(r))
+        for _ in range(derivative):
+            form = form.differentiate()
+        for i, x in enumerate(xs):
+            out[i, j] = float(form.evaluate(float(x)))
+    return out
+
+
 def _pole_group(rng: np.random.Generator, kind: str) -> Polynomial:
     if kind == "zero":
         return Polynomial((0.0, 1.0))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fix_r
+from conftest import fix_r, per_point
 from fuzzybvp import (
     ALL_CASES,
     CaseInapplicableError,
@@ -26,7 +26,7 @@ from fuzzybvp import (
     solve,
 )
 from fuzzybvp import solver
-from fuzzybvp.laplace import Polynomial, RationalFunction, inverse_laplace
+from fuzzybvp.laplace import Polynomial, RationalFunction, evaluate_grids, inverse_laplace
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))      # (1+r, 3-r)
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))      # (4+r, 6-r)
@@ -454,23 +454,24 @@ class TestDispatchAndEnumeration:
         assert all(r.error.startswith("UnsupportedProblemError") for r in results)
 
 
-def _per_point(branch: RClosedForm, xs, rs, derivative: int) -> np.ndarray:
-    """Reference values: one ``fix_r`` closed form per level, one scalar x at a time."""
-    out = np.empty((len(xs), len(rs)))
-    for j, r in enumerate(rs):
-        form = fix_r(branch, float(r))
-        for _ in range(derivative):
-            form = form.differentiate()
-        for i, x in enumerate(xs):
-            out[i, j] = float(form.evaluate(float(x)))
-    return out
-
-
 def _assert_grid_matches_per_point(branch: RClosedForm, xs, rs) -> None:
     for derivative in (0, 1, 2):
         grid = branch.evaluate_grid(xs, rs, derivative)
         assert grid.shape == (len(xs), len(rs))
-        assert grid.tobytes() == _per_point(branch, xs, rs, derivative).tobytes()
+        assert grid.tobytes() == per_point(branch, xs, rs, derivative).tobytes()
+
+
+def _assert_fused_matches_per_point(forms, xs, rs) -> np.ndarray:
+    """One fused pass over ``forms``: every (form, order) grid equals the per-point path."""
+    grids = evaluate_grids(forms, xs, rs, (0, 1, 2))
+    assert grids.shape == (len(forms), 3, len(xs), len(rs))
+    for form, by_order in zip(forms, grids):
+        for derivative in (0, 1, 2):
+            want = per_point(form, xs, rs, derivative)
+            assert by_order[derivative].tobytes() == want.tobytes()
+    # any selection of orders, in any order, gives the same columns
+    assert evaluate_grids(forms, xs, rs, (2, 0)).tobytes() == grids[:, [2, 0]].tobytes()
+    return grids
 
 
 _coef = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -512,6 +513,66 @@ class TestEvaluateGrid:
         rs = np.linspace(0.0, 1.0, r_count)
         _assert_grid_matches_per_point(sol.lower, xs, rs)
         _assert_grid_matches_per_point(sol.upper, xs, rs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prob=solvable_problems(), other=solvable_problems(),
+        x_count=st.integers(2, 9), r_count=st.integers(2, 6),
+    )
+    def test_fused_branches_bit_identical_to_per_point_fix_r(self, prob, other, x_count, r_count):
+        # (lower, upper) as check_level_set fuses them, then four forms from
+        # two problems, whose rate sets differ: every column keeps its bits
+        try:
+            sol, sol2 = solve(prob), solve(replace(other, L=prob.L))
+        except FuzzyBvpError:
+            assume(False)
+        xs = np.linspace(0.0, prob.L, x_count)
+        rs = np.linspace(0.0, 1.0, r_count)
+        _assert_fused_matches_per_point((sol.lower, sol.upper), xs, rs)
+        _assert_fused_matches_per_point((sol.lower, sol.upper, sol2.lower, sol2.upper), xs, rs)
+
+    def test_fused_key_in_one_branch_only(self):
+        # lower's one key comes first but sorts last among upper's keys,
+        # which lower lacks: upper must still be summed in canonical order
+        xs = np.linspace(0.0, 2.0, 7)
+        rs = np.linspace(0.0, 1.0, 5)
+        lower = RClosedForm(((TermKind.SINH, 0.7, RFun(3.0, -1.0)),))
+        upper = RClosedForm((
+            (TermKind.EXP, 0.0, RFun(0.5, 1.0)),
+            (TermKind.COS, 1.5, RFun(-1.0, 2.0)),
+            (TermKind.SIN, 2.0, RFun(1.0, -0.5)),
+            (TermKind.SINH, 0.7, RFun(0.3, 0.1)),
+        ))
+        _assert_fused_matches_per_point((lower, upper), xs, rs)
+
+    def test_fused_overflowing_branch_stays_in_its_columns(self):
+        # cosh(400x) itself is inf for x > 1.78: masked out of the finite
+        # branch's columns, it forms no 0*inf there (a warning is an error)
+        xs = np.linspace(0.0, 2.0, 11)
+        rs = np.linspace(0.0, 1.0, 4)
+        huge = RClosedForm(((TermKind.COSH, 400.0, RFun(1e140, 0.0)),))
+        finite = solve(wave_problem()).lower
+        with np.errstate(over="ignore"):
+            grids = evaluate_grids((finite, huge), xs, rs, (0, 1, 2))
+        for derivative in (0, 1, 2):
+            assert grids[0, derivative].tobytes() == per_point(finite, xs, rs, derivative).tobytes()
+            assert np.isposinf(grids[1, derivative, -1]).all()
+        assert not np.isnan(grids).any()
+
+    def test_fused_dead_level_and_negative_zero(self):
+        xs = np.linspace(0.0, 2.0, 7)
+        rs = np.linspace(0.0, 1.0, 5)
+        # every coefficient of dead vanishes at r = 0.5; -1*sin(0) = -0.0 is
+        # the whole value of sine at x = 0
+        dead = RClosedForm((
+            (TermKind.EXP, 0.0, RFun(0.5, -1.0)),
+            (TermKind.COS, 1.5, RFun(-1.0, 2.0)),
+            (TermKind.SINH, 0.7, RFun(2.0, -4.0)),
+        ))
+        sine = RClosedForm(((TermKind.SIN, 1.0, RFun(-1.0)),))
+        grids = _assert_fused_matches_per_point((dead, sine), xs, rs)
+        assert (grids[0, :, :, 2] == 0.0).all() and not np.signbit(grids[0, :, :, 2]).any()
+        assert np.signbit(grids[1, 0, 0]).all()
 
     def test_coefficient_zero_at_one_level_is_masked(self):
         rs = np.linspace(0.0, 1.0, 5)
