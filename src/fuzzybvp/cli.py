@@ -7,8 +7,8 @@ case, and a validity report block per requested case.
 
 Exit codes: 0 when at least one requested case produced a solution,
 1 when every requested case failed, 2 when the file cannot be read (missing,
-or not UTF-8) or parsed, 3 on an unexpected internal error (reported as one
-``error: internal:`` line).
+or not UTF-8) or parsed or the output directory cannot be written, 3 on an
+unexpected internal error (reported as one ``error: internal:`` line).
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def parse_problem_text(text: str) -> ProblemSpec:
 
 
 def parse_problem_file(path) -> ProblemSpec:
-    return parse_problem_text(Path(path).read_text(encoding="utf-8"))
+    # utf-8-sig also reads a file saved with a byte-order mark
+    return parse_problem_text(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
@@ -285,34 +286,38 @@ def run(
                 return 2
             spec = replace(spec, **{name: value})
 
-    results = _solve_requested(spec, oracle)
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # the directory is made before the solve, so a bad --out fails fast; the
+    # solve does no I/O, so an OSError here comes from the output
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        results = _solve_requested(spec, oracle)
+        prob = spec.problem
+        summary_lines = [
+            f"problem: a={prob.a:g} b={prob.b:g} c={prob.c:g} L={prob.L:g} "
+            f"height={prob.v_height:g}",
+            f"bc0: lower = {prob.bc0.lower.c0:g} + {prob.bc0.lower.c1:g}*r, "
+            f"upper = {prob.bc0.upper.c0:g} + {prob.bc0.upper.c1:g}*r",
+            f"bcL: lower = {prob.bcL.lower.c0:g} + {prob.bcL.lower.c1:g}*r, "
+            f"upper = {prob.bcL.upper.c0:g} + {prob.bcL.upper.c1:g}*r",
+            "",
+        ]
+        report_blocks = []
+        for res in results:
+            summary_lines += _summary_block(res) + [""]
+            block = [f"case = {res.case.tag}", f"solved = {str(res.solved).lower()}"]
+            if res.solved:
+                block.append(res.report.to_text())
+                _write_csv(out / f"case_{res.case.tag}.csv", res.solution, spec.x_samples, spec.r_levels)
+            else:
+                block.append(f"error = {res.error}")
+            report_blocks.append("\n".join(block))
 
-    prob = spec.problem
-    summary_lines = [
-        f"problem: a={prob.a:g} b={prob.b:g} c={prob.c:g} L={prob.L:g} "
-        f"height={prob.v_height:g}",
-        f"bc0: lower = {prob.bc0.lower.c0:g} + {prob.bc0.lower.c1:g}*r, "
-        f"upper = {prob.bc0.upper.c0:g} + {prob.bc0.upper.c1:g}*r",
-        f"bcL: lower = {prob.bcL.lower.c0:g} + {prob.bcL.lower.c1:g}*r, "
-        f"upper = {prob.bcL.upper.c0:g} + {prob.bcL.upper.c1:g}*r",
-        "",
-    ]
-    report_blocks = []
-    for res in results:
-        summary_lines += _summary_block(res) + [""]
-        block = [f"case = {res.case.tag}", f"solved = {str(res.solved).lower()}"]
-        if res.solved:
-            block.append(res.report.to_text())
-            _write_csv(out / f"case_{res.case.tag}.csv", res.solution, spec.x_samples, spec.r_levels)
-        else:
-            block.append(f"error = {res.error}")
-        report_blocks.append("\n".join(block))
-
-    (out / "summary.txt").write_text("\n".join(summary_lines), encoding="utf-8")
-    (out / "report.txt").write_text("\n\n".join(report_blocks) + "\n", encoding="utf-8")
+        (out / "summary.txt").write_text("\n".join(summary_lines), encoding="utf-8")
+        (out / "report.txt").write_text("\n\n".join(report_blocks) + "\n", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        return 2
 
     if any(res.solved for res in results):
         return 0

@@ -13,8 +13,9 @@ class UnsupportedProblemError(FuzzyBvpError):
     """The problem leaves the closed-form class this method covers.
 
     Raised for repeated characteristic roots, quartics that are not
-    biquadratic, and root configurations the exp/trig/hyperbolic basis
-    cannot represent. The failure is a method boundary, not a bug.
+    biquadratic, root configurations the exp/trig/hyperbolic basis cannot
+    represent, and solutions whose validity check would overflow double
+    precision. The failure is a method boundary, not a bug.
     """
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidFuzzyNumberError
 
-# Absolute slack for the endpoint-arithmetic invariant checks; every
-# operation here is a handful of flops, so 1e-12 is generous.
+# Slack for the invariant checks, absolute for the slopes and relative to the
+# largest |endpoint| for the ordering; each is a few flops, so 1e-12 is generous.
 ENDPOINT_TOL = 1e-12
 
 
@@ -43,10 +43,10 @@ class RFun:
 class FuzzyNumber:
     """Pair of affine branches (lower, upper) forming a valid level set.
 
-    Invariants, checked at construction with ``ENDPOINT_TOL`` slack:
-    every coefficient is finite, lower is non-decreasing in r, upper is
-    non-increasing in r, and lower(1) <= upper(1) (with the monotonicity
-    this orders the branches at every level).
+    Invariants, checked at construction with ``ENDPOINT_TOL`` slack: every
+    coefficient is finite, lower is non-decreasing in r, upper is non-increasing
+    in r, and lower(1) <= upper(1) (with the monotonicity this orders the
+    branches at every level).
     """
 
     lower: RFun
@@ -64,9 +64,10 @@ class FuzzyNumber:
             raise InvalidFuzzyNumberError(
                 f"upper branch increases in r (slope {self.upper.c1})"
             )
-        if self.lower(1.0) > self.upper(1.0) + ENDPOINT_TOL:
+        ends = (self.lower.c0, self.upper.c0, self.lower(1.0), self.upper(1.0))
+        if ends[2] > ends[3] + ENDPOINT_TOL * max(1.0, *map(abs, ends)):
             raise InvalidFuzzyNumberError(
-                f"branches cross at r=1: lower {self.lower(1.0)} > upper {self.upper(1.0)}"
+                f"branches cross at r=1: lower {ends[2]} > upper {ends[3]}"
             )
 
     @staticmethod

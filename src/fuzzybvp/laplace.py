@@ -320,12 +320,15 @@ def roots(d: Polynomial) -> list[complex]:
 
     # only the leading coefficient is held against the others: a small
     # middle or constant coefficient still sets a root and is kept
-    c = list(d.coeffs)
-    if abs(c[-1]) <= COEFF_TOL * max(abs(v) for v in c):
+    top = max(abs(v) for v in d.coeffs)
+    if abs(d.coeffs[-1]) <= COEFF_TOL * top:
         raise UnsupportedProblemError(
             f"leading coefficient of denominator {d.coeffs} is negligible next to "
             "the largest one: the roots it sets are beyond double precision"
         )
+    c = list(d.coeffs)
+    if top < 0.5:  # scale exactly by a power of two into [0.5, 1): b*b - 4*a*c cannot underflow
+        c = [math.ldexp(v, -math.frexp(top)[1]) for v in c]
     found: list[complex] = []
     while len(c) > 1 and c[0] == 0.0:
         found.append(0j)
@@ -371,12 +374,6 @@ def partial_fractions(f: RationalFunction) -> list[tuple[complex, complex]]:
     return out
 
 
-def _require_real(value: complex, what: str) -> float:
-    if abs(value.imag) > COEFF_TOL * (1.0 + abs(value)):
-        raise ValueError(f"{what} has a non-cancelling imaginary part: {value}")
-    return value.real
-
-
 def inverse_laplace(f: RationalFunction) -> ClosedForm:
     """Invert a strictly proper rational function over the closed-form basis.
 
@@ -400,15 +397,13 @@ def inverse_laplace(f: RationalFunction) -> ClosedForm:
     terms = []
     for root, res in residues.items():
         if root == 0:
-            terms.append((TermKind.EXP, 0.0, _require_real(res, "residue at the origin")))
+            terms.append((TermKind.EXP, 0.0, res.real))
         elif root.imag == 0.0 and -root not in residues:
-            terms.append((TermKind.EXP, root.real, _require_real(res, f"residue at {root.real}")))
+            terms.append((TermKind.EXP, root.real, res.real))
         elif root.imag == 0.0:
             if root.real > 0:  # the pair is emitted once, at its positive root
-                even = _require_real(res + residues[-root], f"cosh residue sum at {root.real}")
-                odd = _require_real(res - residues[-root], f"sinh residue gap at {root.real}")
-                terms.append((TermKind.COSH, root.real, even))
-                terms.append((TermKind.SINH, root.real, odd))
+                terms.append((TermKind.COSH, root.real, (res + residues[-root]).real))
+                terms.append((TermKind.SINH, root.real, (res - residues[-root]).real))
         elif root.real == 0.0:
             if root.imag > 0:  # the lower conjugate carries the conjugate residue
                 terms.append((TermKind.COS, root.imag, 2.0 * res.real))

@@ -166,31 +166,20 @@ def _fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedF
     return psi.differentiate() + psi.scaled(b / a), psi
 
 
-def _require_finite_numerator(*values: float) -> None:
-    """Refuse a transform numerator whose terms overflow double precision."""
-    if not all(math.isfinite(v) for v in values):
-        raise UnsupportedProblemError(
-            "non-finite root or residue: the transform numerator "
-            "a*y(0)*p + b*y(0) + a*F overflows double precision"
-        )
-
-
-# The basis kinds bounded by 1 on any interval.
-_BOUNDED = (TermKind.COS, TermKind.SIN)
-
-
-def _peak(form: ClosedForm, L: float) -> float:
-    """A bound on every term of ``form`` and its first two x-derivatives on
-    [0, L], which ``validate.check_level_set`` evaluates: |coeff| times
-    max(1, k^2) times the peak of the basis, e^{max(k, 0)*L} for exp, cosh
-    and sinh and 1 for cos and sin."""
-    try:
-        return max([
-            abs(coeff) * max(1.0, k * k) * (1.0 if kind in _BOUNDED else math.exp(max(k, 0.0) * L))
-            for kind, k, coeff in form.terms
-        ])
-    except OverflowError:  # math.exp
-        return math.inf
+def _sizes(form: ClosedForm, L: float) -> tuple[float, float, float]:
+    """Sj = sum of |coeff|*|k|^j*peak, j = 0, 1, 2, bounds the j-th x-derivative of
+    ``form`` on [0, L]; the peak is 1 for cos and sin, else e^{max(k, 0)*L}."""
+    s0 = s1 = s2 = 0.0
+    for kind, k, coeff in form.terms:
+        bounded = kind in (TermKind.COS, TermKind.SIN)
+        try:
+            size = abs(coeff) * (1.0 if bounded else math.exp(max(k, 0.0) * L))
+        except OverflowError:  # math.exp
+            size = math.inf
+        s0 += size
+        s1 += size * abs(k)
+        s2 += size * k * k
+    return s0, s1, s2
 
 
 def _two_point(
@@ -203,6 +192,16 @@ def _two_point(
     y0*phi(L) + F*psi(L) = yL, one linear equation for F. Returns, per pair,
     the solution with term coefficients y0*phi_t + F*psi_t and F, both
     affine in r.
+
+    One overflow rule. With m0 = |y0.c0| + |y0.c1| and mF = |F.c0| + |F.c1|
+    (bounds for r in [0, 1]) and Bj = m0*Sj(phi) + mF*Sj(psi) (``_sizes``),
+    a pair is refused unless (1+|c|)*B0 + (1+|b|)*B1 + (1+|a|)*B2 is finite.
+    Bj bounds the j-th x-derivative at every level on [0, L], so the sum
+    bounds y, y', y'' and c*y, b*y', a*y'', which ``validate.check_level_set``
+    forms; in the mixed cases each call has its own operator, so it also
+    bounds a*lower'' + c_eff*upper. So every returned solution is checked
+    without overflow, and a non-finite phi(L), psi(L) or F, which makes the
+    sum non-finite, is refused too.
     """
     phi, psi = _fundamental_pair(a, b, c)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,20 +212,17 @@ def _two_point(
             f"boundary elimination pivot vanished at L={L}; the domain "
             "length is an eigenvalue of the operator"
         )
-    phi_peak, psi_peak = _peak(phi, L), _peak(psi, L)
+    sizes = tuple(zip((1.0 + abs(c), 1.0 + abs(b), 1.0 + abs(a)), _sizes(phi, L), _sizes(psi, L)))
     out = []
     for y0, yL in pairs:
-        _require_finite_numerator(a * y0.c0, a * y0.c1, b * y0.c0, b * y0.c1)
         f = RFun((yL.c0 - y0.c0 * phi_L) / psi_L, (yL.c1 - y0.c1 * phi_L) / psi_L)
-        # c0 + c1*r is at most |c0| + |c1| for r in [0, 1]
-        bounds = ((abs(y0.c0) + abs(y0.c1)) * phi_peak, (abs(f.c0) + abs(f.c1)) * psi_peak)
-        if not all(math.isfinite(v) for v in (phi_L, psi_L, f.c0, f.c1, *bounds)):
+        m0, mf = abs(y0.c0) + abs(y0.c1), abs(f.c0) + abs(f.c1)
+        if not math.isfinite(sum(w * (m0 * s_phi + mf * s_psi) for w, s_phi, s_psi in sizes)):
             k = max(abs(rate) for _, rate, _ in psi.terms)
             raise UnsupportedProblemError(
-                f"closed form overflows double precision at L={L}: k*L = {k * L:g} "
-                "(rate k of the basis)"
+                f"closed form overflows double precision at L={L}: k*L = {k * L:g} (rate k of "
+                f"the basis; a={a:g}, b={b:g}, c={c:g}, |y(0)| <= {m0:g}, |y'(0)| <= {mf:g})"
             )
-        _require_finite_numerator(a * f.c0, a * f.c1)
         terms = [(kind, k, y0.scaled(coeff)) for kind, k, coeff in phi.terms]
         terms += [(kind, k, f.scaled(coeff)) for kind, k, coeff in psi.terms]
         out.append((RClosedForm(tuple(terms)), f))
@@ -257,7 +253,8 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
     kernel with its own operator, and the branches and their initial
     derivatives H1 = lower'(0), H2 = upper'(0) are recombined as half sums
     and half differences. Cases 12 and 21 solve the same equations and give
-    the same solution.
+    the same solution. Every kernel call refuses (``UnsupportedProblemError``)
+    what ``check_level_set`` could not evaluate in double precision.
     """
     if prob.case is None:
         raise CaseInapplicableError("problem has no differentiability case set")

@@ -1,5 +1,6 @@
 """Problem-file parsing, the run entry point, and its emitted artifacts."""
 
+import codecs
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from fuzzybvp import cli, validate
 from fuzzybvp.cli import (
     _write_csv,
     main,
+    parse_problem_file,
     parse_problem_text,
     run,
 )
@@ -269,6 +271,37 @@ class TestRun:
         assert main([str(problem), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {problem}: 'utf-8' codec can't decode byte 0xff")
+
+    def test_byte_order_mark_is_read(self, tmp_path):
+        # as Windows Notepad saves UTF-8
+        wave = DEMO_PROBLEMS / "wave.problem"
+        problem = tmp_path / "bom.problem"
+        problem.write_bytes(codecs.BOM_UTF8 + wave.read_bytes())
+        assert parse_problem_file(problem) == parse_problem_file(wave)
+        assert run(problem, out_dir=tmp_path / "out") == 0
+
+    def test_triangular_peak_rounding_exit_0(self, tmp_path):
+        # lower(1) and upper(1) of this triple differ by several ulps of |center|
+        problem = tmp_path / "problem.txt"
+        problem.write_text(WAVE_PROBLEM.replace(
+            "lower = 4 1\nupper = 6 -1",
+            "triangular = -22166.458984473047 -6914.856193996277 93176.0926982428",
+        ))
+        assert run(problem, out_dir=tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("blocked", ["out-is-a-file", "out-under-a-file", "report-is-a-dir"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, blocked):
+        taken = tmp_path / "taken"
+        if blocked == "report-is-a-dir":
+            out = tmp_path / "out"
+            (out / "report.txt").mkdir(parents=True)
+        else:
+            taken.write_text("")
+            out = taken if blocked == "out-is-a-file" else taken / "out"
+        assert main([str(DEMO_PROBLEMS / "wave.problem"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ")
+        assert "error: internal" not in err and "Traceback" not in err
 
     def test_degenerate_grid_override_exit_2(self, tmp_path, capsys):
         problem = tmp_path / "problem.txt"

@@ -83,6 +83,27 @@ class TestTriangular:
         with pytest.raises(InvalidFuzzyNumberError):
             triangular(*bad)
 
+    @pytest.mark.parametrize(
+        "triple",
+        [
+            (-22166.458984473047, -6914.856193996277, 93176.0926982428),
+            (-620.2126551409956, 2.8965234280172427, 21918995753.557854),
+        ],
+    )
+    def test_peak_rounding_is_not_a_crossing(self, triple):
+        # lower(1) and upper(1) round at the size of the support, not of the
+        # peak: several ulps of |center| apart here
+        u = triangular(*triple)
+        assert (u.lower(0.0), u.upper(0.0)) == (triple[0], triple[2])
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3).map(sorted))
+    def test_every_ordered_triple_is_accepted(self, triple):
+        triangular(*triple)
+
+    def test_crossing_beyond_the_relative_slack_rejected(self):
+        with pytest.raises(InvalidFuzzyNumberError, match="branches cross"):
+            FuzzyNumber(RFun(1e6 + 1e-5), RFun(1e6))
+
 
 class TestArithmetic:
     def test_add_boundary_values(self):

@@ -1,5 +1,7 @@
 """Rational-function algebra, partial fractions, and the transform table."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -113,6 +115,14 @@ class TestRoots:
         got = [z.real for z in roots(Polynomial((1.0, 1e8, 1.0)))]
         assert all(abs(g - w) <= 1e-15 * abs(w) for g, w in zip(got, want))
 
+    @pytest.mark.parametrize("coeffs", [(-3.0, -1.0, 2.0), (2.0, 0.0, 1.0), (-4.0, 0.0, 0.0, 0.0, 1.0)])
+    @pytest.mark.parametrize("power", [-3, -600, -1000])
+    def test_small_coefficients_keep_their_roots(self, coeffs, power):
+        # at 2**-600 and below, c1*c1 - 4*c2*c0 is below the smallest double;
+        # a power-of-two scale is exact, so the roots keep every bit
+        scaled = Polynomial(tuple(math.ldexp(c, power) for c in coeffs))
+        assert roots(scaled) == roots(Polynomial(coeffs))
+
     def test_tiny_constant_coefficient_keeps_its_root(self):
         # p^2 + p + 1e-13: the small root -1e-13 is set by the constant
         # coefficient, so that coefficient is not dropped as negligible
@@ -163,6 +173,32 @@ class TestPartialFractions:
         f = RationalFunction(Polynomial((1.0,)), Polynomial((1.0, -2.0, 1.0)))
         with pytest.raises(UnsupportedProblemError):
             partial_fractions(f)
+
+    @staticmethod
+    def _assert_real_roots_have_real_residues(f):
+        for res, root in partial_fractions(f):
+            if root.imag == 0.0:
+                # a real root is a float or complex(x, +-0.0): Horner steps
+                # and complex division keep the zero imaginary part exact
+                assert res.imag == 0.0
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_real_root_residue_is_real(self, seed):
+        self._assert_real_roots_have_real_residues(random_supported_rational(np.random.default_rng(seed)))
+
+    @given(
+        a=st.floats(-1e300, 1e300).filter(lambda v: v != 0.0),
+        b=st.floats(-1e300, 1e300) | st.just(0.0),
+        c=st.floats(-1e300, 1e300),
+    )
+    def test_solver_denominator_residue_is_real(self, a, b, c):
+        # psi = l^-1[a / (a p^2 + b p + c)], as the two-point kernel inverts it
+        try:
+            self._assert_real_roots_have_real_residues(
+                RationalFunction(Polynomial((a,)), Polynomial((c, b, a)))
+            )
+        except UnsupportedProblemError:
+            pass  # repeated, damped or negligible-leading roots are refused
 
 
 class TestInverseLaplace:

@@ -1,5 +1,6 @@
 """The transform pipeline end to end, for all four differentiability cases."""
 
+import math
 from dataclasses import replace
 
 import mpmath
@@ -444,6 +445,25 @@ class TestDispatchAndEnumeration:
         # y0*k^2*cosh(k*x) overflows, so the solve is refused
         prob = replace(NEAR_OVERFLOW, case=case)
         with pytest.raises(UnsupportedProblemError, match=r"k\*L = 708\.99"):
+            solve(prob)
+
+    @pytest.mark.parametrize(
+        "prob",
+        [wave_problem(case) for case in ALL_CASES]
+        + [homogeneous_problem(DiffCase.CASE_11), homogeneous_problem(DiffCase.CASE_22)],
+    )
+    def test_tiny_coefficients_same_solution(self, prob):
+        # at 2**-600, b*b - 4*a*c is below the smallest double; scaling a, b
+        # and c by a power of two is exact and leaves every term unchanged
+        tiny = replace(prob, **{name: math.ldexp(getattr(prob, name), -600) for name in "abc"})
+        got, want = solve(tiny), solve(prob)
+        assert (got.lower.terms, got.upper.terms) == (want.lower.terms, want.upper.terms)
+        assert got.constants == want.constants
+
+    def test_tiny_damped_roots_refused(self):
+        # b*b - 4*a*c = -3e-326 < 0: damped roots, not one underflowed double root
+        prob = FuzzyBVP(a=-1e-160, b=-1e-163, c=-1e-166, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
+        with pytest.raises(UnsupportedProblemError, match="neither real nor pure imaginary"):
             solve(prob)
 
     @pytest.mark.filterwarnings("error")

@@ -1,5 +1,6 @@
 """Level-set checks, residual measurement, and the finite-difference oracle."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from fuzzybvp import (
     DiffCase,
     EigenvalueDegeneracyError,
     FuzzyBVP,
+    FuzzyBvpError,
     FuzzyNumber,
     RClosedForm,
     RFun,
@@ -25,6 +27,7 @@ from fuzzybvp import (
     fd_oracle_coupled,
     oracle_gap,
     residual_ode,
+    scale,
     solve,
 )
 from fuzzybvp import validate
@@ -34,14 +37,22 @@ from test_solver import NEAR_OVERFLOW, homogeneous_problem, wave_problem
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))
 
-# Finite input whose transform overflows: NaN roots (a*c overflows in the
-# discriminant), and an inf cosh residue (a times boundary data near 1e299).
+# Finite input refused in every case, each with its message prefix.
+# "nan-roots": a*c overflows in the discriminant, so the roots are NaN.
+# "inf-residue": a = 1e10 times boundary data near 1e299 overflows the
+# transform numerator a*y(0)*p, and c*y, which the check forms, as well.
 EXTREME_PROBLEMS = {
-    "nan-roots": FuzzyBVP(a=1e308, b=0.0, c=-1e308, L=1.0, bc0=BC0, bcL=BCL),
-    "inf-residue": FuzzyBVP(
-        a=1e10, b=0.0, c=-1e10, L=1.0,
-        bc0=FuzzyNumber(RFun(1e299, 1e299), RFun(3e299, -1e299)),
-        bcL=FuzzyNumber(RFun(4e299, 1e299), RFun(6e299, -1e299)),
+    "nan-roots": (
+        FuzzyBVP(a=1e308, b=0.0, c=-1e308, L=1.0, bc0=BC0, bcL=BCL),
+        "non-finite root or residue",
+    ),
+    "inf-residue": (
+        FuzzyBVP(
+            a=1e10, b=0.0, c=-1e10, L=1.0,
+            bc0=FuzzyNumber(RFun(1e299, 1e299), RFun(3e299, -1e299)),
+            bcL=FuzzyNumber(RFun(4e299, 1e299), RFun(6e299, -1e299)),
+        ),
+        "closed form overflows",
     ),
 }
 
@@ -186,12 +197,13 @@ class TestCheckCase:
 
     @pytest.mark.parametrize("name", sorted(EXTREME_PROBLEMS))
     def test_overflowing_transform_fails_every_case(self, name):
-        results = enumerate_cases(EXTREME_PROBLEMS[name])
+        prob, prefix = EXTREME_PROBLEMS[name]
+        results = enumerate_cases(prob)
         assert [r.case for r in results] == list(ALL_CASES)
         for res in results:
             assert isinstance(res, CaseResult)
             assert not res.solved and res.report is None
-            assert res.error.startswith("UnsupportedProblemError: non-finite root or residue")
+            assert res.error.startswith(f"UnsupportedProblemError: {prefix}")
 
 
 _coef = st.floats(-5.0, 5.0)
@@ -201,6 +213,87 @@ _coef = st.floats(-5.0, 5.0)
 def _fuzzy(draw):
     lo0, lo1, up0, up1 = draw(_coef), draw(st.floats(0.0, 3.0)), draw(_coef), draw(st.floats(0.0, 3.0))
     return FuzzyNumber(RFun(lo0 - lo1, lo1), RFun(max(lo0, up0) + up1, -up1))
+
+
+# The wave data x1e293 with a = 1e10, c = -1e16 on L = 1e-3: every envelope
+# value fits in double precision, but the check's c*y does not.
+CHECK_OVERFLOW = FuzzyBVP(
+    a=1e10, b=0.0, c=-1e16, L=1e-3, bc0=scale(1e293, BC0), bcL=scale(1e293, BCL)
+)
+# The wave data x2**877 (scaled exactly) with a = 1e45: a*y(0) overflows, but
+# every value and product the check forms fits.
+LARGE_BUT_FITS = FuzzyBVP(
+    a=1e45, b=0.0, c=-1e41, L=3.5, bc0=scale(2.0**877, BC0), bcL=scale(2.0**877, BCL)
+)
+
+
+def _data_size(prob: FuzzyBVP) -> float:
+    ends = (u(r) for bc in (prob.bc0, prob.bcL) for u in (bc.lower, bc.upper) for r in (0.0, 1.0))
+    return max(abs(v) for v in ends)
+
+
+@st.composite
+def extreme_problems(draw):
+    """a, b, c and boundary data log-uniform up to ~1e300, k*L up to ~750.
+
+    The rate k sets c ~ a*k^2 and b ~ a*k, so most draws reach the
+    two-point kernel; half the draws size the data so that the largest
+    value the check forms lands near the double-precision limit.
+    """
+    sign = st.sampled_from((-1.0, 1.0))
+    a = draw(sign) * 10.0 ** draw(st.floats(-300.0, 300.0))
+    k = 10.0 ** draw(st.floats(-3.0, 3.0))
+    c = draw(sign) * abs(a) * k * k * draw(st.floats(0.5, 2.0))
+    b = a * k * draw(st.floats(-3.0, 3.0)) if draw(st.booleans()) else 0.0
+    kL = 10.0 ** draw(st.floats(-3.0, math.log10(750.0)))
+    if draw(st.booleans()):
+        top = draw(st.floats(290.0, 320.0)) - math.log10(max(abs(a), abs(c), 1.0) * max(k, 1.0) ** 2)
+        exponent = min(max(top - kL / math.log(10.0), -300.0), 300.0)
+    else:
+        exponent = draw(st.floats(-300.0, 300.0))
+    data = [scale(10.0 ** exponent, u) for u in (draw(_fuzzy()), draw(_fuzzy()))]
+    return FuzzyBVP(a=a, b=b, c=c, L=kL / k, bc0=data[0], bcL=data[1])
+
+
+class TestOverflowRule:
+    """A solution ``solve`` returns can always be checked: the two-point
+    kernel refuses what ``check_level_set`` could not evaluate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(prob=extreme_problems(), case=st.sampled_from(ALL_CASES))
+    @example(prob=CHECK_OVERFLOW, case=DiffCase.CASE_11)
+    @example(prob=CHECK_OVERFLOW, case=DiffCase.CASE_12)
+    @example(prob=LARGE_BUT_FITS, case=DiffCase.CASE_11)
+    @example(prob=NEAR_OVERFLOW, case=DiffCase.CASE_12)
+    def test_solved_means_checkable(self, prob, case):
+        try:
+            sol = solve(replace(prob, case=case))
+        except FuzzyBvpError:
+            return
+        report = check_level_set(sol, 11, 4)
+        assert math.isfinite(report.max_ode_residual)
+        assert math.isfinite(report.max_boundary_residual)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_check_overflow_refused(self, case):
+        with pytest.raises(UnsupportedProblemError) as info:
+            solve(replace(CHECK_OVERFLOW, case=case))
+        message = str(info.value)
+        assert message.startswith("closed form overflows double precision at L=0.001: k*L = ")
+        assert "a=1e+10, b=0, c=-1e+16" in message and "|y(0)| <= " in message
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_large_coefficients_that_fit_solve(self, case):
+        report = check_level_set(solve(replace(LARGE_BUT_FITS, case=case)))
+        assert report.max_boundary_residual <= 1e-12 * _data_size(LARGE_BUT_FITS)
+
+    @pytest.mark.parametrize("case", ALL_CASES)
+    def test_zero_data_with_overflowing_basis_refused(self, case):
+        # m0 = 0 and S(phi) = inf: 0*inf is NaN, and NaN is refused, not passed
+        zero = FuzzyNumber.crisp(0.0)
+        prob = FuzzyBVP(a=1.0, b=0.0, c=-1.0, L=800.0, bc0=zero, bcL=zero, case=case)
+        with pytest.raises(UnsupportedProblemError, match=r"k\*L = 800"):
+            solve(prob)
 
 
 @st.composite
