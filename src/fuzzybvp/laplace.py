@@ -131,6 +131,9 @@ class TermKind(enum.Enum):
     COSH = "cosh"
     SINH = "sinh"
 
+    # members are singletons compared by identity; Enum.__hash__ is Python-level
+    __hash__ = object.__hash__
+
 
 _KIND_ORDER = {kind: i for i, kind in enumerate(TermKind)}
 

@@ -102,9 +102,13 @@ class FuzzyBVP:
     v_height: float = 0.0
 
     def __post_init__(self):
+        # stored as Python floats, so numpy scalars overflow to inf silently
+        # in the scalar kernel as floats do, instead of warning
         for name in ("a", "b", "c", "L", "v_height"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.a == 0.0:
             raise ValueError("leading coefficient a must be nonzero")
         if not self.L > 0.0:

@@ -170,15 +170,15 @@ def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> li
     return results
 
 
-def _thomas(sub: float, diag: float, sup: float, rhs: np.ndarray) -> None:
-    """Constant-coefficient tridiagonal solve of every column of ``rhs``, in place.
+def _end_solutions(sub: float, diag: float, sup: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """u = T^-1 e_1 and v = T^-1 e_m for the m-by-m tridiagonal T = (sub, diag, sup).
 
-    The pivots are formed once, in Python floats, with zero-pivot detection;
-    each column is then swept with the textbook recurrences in their usual
-    order, so it gets the same bits as a solve of that column alone. Only
-    the pivots are kept: each multiplier ``sup / pivot`` is recomputed.
+    The pivots p_1 = diag, p_i = diag - sub*sup/p_{i-1} are formed in Python
+    floats, with zero-pivot detection. v is the back sweep of e_m, the
+    running product v_m = 1/p_m, v_i = -(sup/p_i)*v_{i+1}. Reversing the
+    unknowns swaps sub and sup and keeps the pivots (they depend on sub*sup
+    only), so u is the mirror product u_1 = 1/p_m, u_{j+1} = -(sub/p_{m-j})*u_j.
     """
-    m = rhs.shape[0]
     scale = max(abs(sub), abs(diag), abs(sup), 1.0)
     pivots = []
     pivot = diag
@@ -188,15 +188,12 @@ def _thomas(sub: float, diag: float, sup: float, rhs: np.ndarray) -> None:
         if abs(pivot) <= 1e-13 * scale:
             raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
         pivots.append(pivot)
-    for j in range(rhs.shape[1]):
-        col = rhs[:, j]
-        g = col.tolist()
-        gi = g[0] = g[0] / pivots[0]
-        for i in range(1, m):
-            gi = g[i] = (g[i] - sub * gi) / pivots[i]
-        for i in range(m - 2, -1, -1):
-            gi = g[i] = g[i] - sup / pivots[i] * gi
-        col[:] = g
+    # row 0 is u's factors, row 1 v's from its far end
+    steps = np.empty((2, m))
+    steps[:, 0] = 1.0 / pivots[-1]
+    steps[:, 1:] = np.divide.outer((-sub, -sup), pivots[-2::-1])
+    u, v = np.multiply.accumulate(steps, axis=1)
+    return u, v[::-1]
 
 
 def _boundary_arrays(*values) -> list[np.ndarray]:
@@ -216,10 +213,12 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     ``y0`` and ``yL`` are two scalars, or two 1-D sequences of equal length
     holding one boundary pair per column. Returns the n+1 grid values
     including both boundaries, with shape (n+1,) for scalars and (n+1, k)
-    for k pairs. The matrix is factored once and every column is solved
-    against it, with the same bits as a solve of that pair alone. Accuracy
-    is O((L/n)^2); this is the independent check for the closed-form
-    pipeline and shares none of its machinery.
+    for k pairs. A column's interior is -sub*y0*u - sup*yL*v, with u and v
+    the stencil's solutions for a unit value at the left and the right end
+    (``_end_solutions``), shared by all columns; so a column has the same
+    bits alone as with others, and a scalar call equals a one-column call.
+    Accuracy is O((L/n)^2); this is the independent check for the
+    closed-form pipeline and shares none of its machinery.
     """
     if n < 16:
         raise ValueError(f"need at least 16 intervals, got {n}")
@@ -230,12 +229,12 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     sub = a / h**2 - b / (2.0 * h)
     diag = c - 2.0 * a / h**2
     sup = a / h**2 + b / (2.0 * h)
-    out = np.zeros((n + 1, y0.size))
+    u, v = _end_solutions(sub, diag, sup, n - 1)
+    out = np.empty((n + 1, y0.size))
     out[0] = y0
     out[-1] = yL
-    out[1] -= sub * y0
-    out[-2] -= sup * yL
-    _thomas(sub, diag, sup, out[1:-1])
+    np.multiply.outer(u, -sub * y0.ravel(), out=out[1:-1])
+    out[1:-1] += np.multiply.outer(v, -sup * yL.ravel())
     return out if y0.ndim else out[:, 0]
 
 
@@ -250,7 +249,7 @@ def fd_oracle_coupled(
     v = (s + d)/2, w = (s - d)/2 are the coupled scheme's solution. The
     boundary values follow ``fd_oracle``'s rule: scalars or equal-length
     sequences, one column per boundary set, so each of the two matrices
-    is factored once however many columns there are.
+    gets its two end solutions once however many columns there are.
     """
     v0, w0, vL, wL = _boundary_arrays(v0, w0, vL, wL)
     s = fd_oracle(a, 0.0, -kappa, L, v0 + w0, vL + wL, n)
@@ -264,7 +263,7 @@ def oracle_gap(sol: FuzzySolution, n: int = 10_000, r_values=(0.0, 0.5, 1.0)) ->
     At each fixed r the envelopes solve a crisp problem the oracle can
     reproduce: the branch equations directly for cases 11/22, the coupled
     pair for the mixed cases. All levels go to the oracle as columns of one
-    call, so each stencil is factored once: one ``fd_oracle`` call with a
+    call, so each stencil is solved once: one ``fd_oracle`` call with a
     lower and an upper column per level for cases 11/22, one
     ``fd_oracle_coupled`` call for the mixed cases.
     """

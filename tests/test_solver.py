@@ -431,6 +431,21 @@ class TestDispatchAndEnumeration:
             FuzzyBVP(bc0=BC0, bcL=BCL, **data)
 
     @pytest.mark.filterwarnings("error")
+    def test_numpy_scalars_stored_as_floats(self):
+        # -c/a overflows: a numpy float64 would warn where a float gives inf
+        data = dict(b=0.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_12)
+        messages = []
+        for a, c in ((1e-300, -1e10), (np.float64(1e-300), np.float64(-1e10))):
+            prob = FuzzyBVP(a=a, c=c, v_height=np.float64(0.0), **data)
+            assert all(type(getattr(prob, name)) is float for name in ("a", "b", "c", "L", "v_height"))
+            with pytest.raises(UnsupportedProblemError, match="negligible") as info:
+                solve(prob)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        with pytest.raises(TypeError):
+            FuzzyBVP(a="1.0", c=-1.0, **data)
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("case", ALL_CASES)
     def test_overflowing_domain_refused(self, case):
         # cosh(800) overflows double precision: no NaN solution comes back

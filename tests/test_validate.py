@@ -503,7 +503,7 @@ class TestOracleGap:
 
 
 def _thomas_per_column(sub, diag, sup, rhs):
-    """The single-column tridiagonal solve the oracle factors once per stencil."""
+    """The textbook elimination of one column: forward sweep, then back sweep."""
     m = len(rhs)
     scale = max(abs(sub), abs(diag), abs(sup), 1.0)
     w = np.empty(m)
@@ -526,12 +526,16 @@ def _thomas_per_column(sub, diag, sup, rhs):
     return y
 
 
-def _fd_oracle_per_column(a, b, c, L, y0, yL, n):
-    """One scalar boundary pair, one elimination: the reference for ``fd_oracle``."""
+def _stencil(a, b, c, L, n):
+    """The oracle's three-point coefficients (sub, diag, sup) on n intervals."""
     h = L / n
-    sub = a / h**2 - b / (2.0 * h)
-    diag = c - 2.0 * a / h**2
-    sup = a / h**2 + b / (2.0 * h)
+    return a / h**2 - b / (2.0 * h), c - 2.0 * a / h**2, a / h**2 + b / (2.0 * h)
+
+
+def _fd_oracle_per_column(a, b, c, L, y0, yL, n):
+    """One scalar boundary pair, one sequential elimination: an independent
+    reference for ``fd_oracle``."""
+    sub, diag, sup = _stencil(a, b, c, L, n)
     rhs = np.zeros(n - 1)
     rhs[0] -= sub * y0
     rhs[-1] -= sup * yL
@@ -539,7 +543,8 @@ def _fd_oracle_per_column(a, b, c, L, y0, yL, n):
 
 
 def _oracle_gap_per_level(sol, n, r_values):
-    """``oracle_gap`` as one pair of scalar solves per level, with a running max."""
+    """``oracle_gap`` as one pair of scalar ``fd_oracle`` solves per level,
+    with a running max."""
     prob = sol.problem
     xs = np.linspace(0.0, prob.L, n + 1)
     lo_grid = sol.lower.evaluate_grid(xs, r_values)
@@ -549,12 +554,12 @@ def _oracle_gap_per_level(sol, n, r_values):
         bc = (prob.bc0.lower(r), prob.bc0.upper(r), prob.bcL.lower(r), prob.bcL.upper(r))
         if sol.case.is_mixed:
             kappa = -prob.effective_c(sol.case)
-            s = _fd_oracle_per_column(prob.a, 0.0, -kappa, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
-            d = _fd_oracle_per_column(prob.a, 0.0, kappa, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
+            s = fd_oracle(prob.a, 0.0, -kappa, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
+            d = fd_oracle(prob.a, 0.0, kappa, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
             lo_fd, up_fd = (s + d) / 2.0, (s - d) / 2.0
         else:
-            lo_fd = _fd_oracle_per_column(prob.a, prob.b, prob.c, prob.L, bc[0], bc[2], n)
-            up_fd = _fd_oracle_per_column(prob.a, prob.b, prob.c, prob.L, bc[1], bc[3], n)
+            lo_fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc[0], bc[2], n)
+            up_fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc[1], bc[3], n)
         worst = max(
             worst,
             float(np.max(np.abs(lo_grid[:, j] - lo_fd))),
@@ -567,7 +572,9 @@ _boundary = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 
 
 class TestFdOracleColumns:
-    """One factorization per stencil gives every column the bits of its own solve."""
+    """Every column is the same combination of one stencil's two end
+    solutions, so it has the same bits whether solved alone or with others;
+    the sequential per-column elimination is the independent reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -578,6 +585,7 @@ class TestFdOracleColumns:
         n=st.integers(16, 200),
         pairs=st.lists(st.tuples(_boundary, _boundary), min_size=1, max_size=5),
     )
+    @example(a=1.0, b=0.0, c=0.0, L=1.0, n=77, pairs=[(2.2250738585e-313, 0.0)])
     def test_matches_per_column_solve(self, a, b, c, L, n, pairs):
         y0 = [p[0] for p in pairs]
         yL = [p[1] for p in pairs]
@@ -589,10 +597,19 @@ class TestFdOracleColumns:
             return
         got = fd_oracle(a, b, c, L, y0, yL, n)
         assert got.shape == (n + 1, len(pairs))
-        assert got.tobytes() == np.stack(want, axis=1).tobytes()
+        for j, (p, q) in enumerate(pairs):
+            assert got[:, j].tobytes() == fd_oracle(a, b, c, L, [p], [q], n)[:, 0].tobytes()
         scalar = fd_oracle(a, b, c, L, y0[0], yL[0], n)
         assert scalar.shape == (n + 1,)
-        assert scalar.tobytes() == want[0].tobytes()
+        assert scalar.tobytes() == got[:, 0].tobytes()
+        sub, diag, sup = _stencil(a, b, c, L, n)
+        size = max(abs(sub), abs(diag), abs(sup))
+        # below the normal range a double has no relative precision to bound
+        tiny = np.finfo(float).tiny
+        for y, ref in zip(got.T, want):
+            assert np.max(np.abs(y - ref)) <= 1e-9 * max(np.max(np.abs(ref)), tiny)
+            residual = sub * y[:-2] + diag * y[1:-1] + sup * y[2:]
+            assert np.max(np.abs(residual)) <= 1e-13 * size * max(np.max(np.abs(y)), tiny)
 
     @pytest.mark.parametrize(
         "y0, yL", [([0.0, 1.0], [1.0]), ([0.0], [1.0, 2.0]), (0.0, [1.0]), ([[0.0]], [[1.0]])]
