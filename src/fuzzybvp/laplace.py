@@ -12,7 +12,8 @@ inverse pairs them by lookup, not by a tolerance.
 ``ClosedForm`` (float coefficients, from ``inverse_laplace``) and
 ``RClosedForm`` (coefficients affine in r, the solution envelopes) both
 hold plain (kind, k, coeff) triples and share one normal form,
-``_canonical``, and one derivative rule, ``_derivative``.
+``_canonical``, and one derivative rule, ``_derivative``. The solver builds
+each envelope with ``RClosedForm.combine`` and sizes it with ``ClosedForm.bounds``.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class Polynomial:
         a = self.coeffs + (0.0,) * (n - len(self.coeffs))
         b = other.coeffs + (0.0,) * (n - len(other.coeffs))
         return Polynomial(tuple(x + y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "Polynomial":
-        return self.scaled(-1.0)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -209,11 +207,20 @@ class ClosedForm:
     def __add__(self, other: "ClosedForm") -> "ClosedForm":
         return ClosedForm(self.terms + other.terms)
 
-    def coeff(self, kind: TermKind, k: float) -> float:
-        return self.coeff_map().get((kind, k), 0.0)
-
-    def coeff_map(self) -> dict[tuple[TermKind, float], float]:
-        return {(kind, k): coeff for kind, k, coeff in self.terms}
+    def bounds(self, L: float) -> tuple[float, float, float]:
+        """Sj = sum of |coeff|*|k|^j*peak, j = 0, 1, 2, bounds the j-th x-derivative
+        on [0, L]; the peak is 1 for cos and sin, else e^{max(k, 0)*L}."""
+        s0 = s1 = s2 = 0.0
+        for kind, k, coeff in self.terms:
+            bounded = kind in (TermKind.COS, TermKind.SIN)
+            try:
+                size = abs(coeff) * (1.0 if bounded else math.exp(max(k, 0.0) * L))
+            except OverflowError:  # math.exp
+                size = math.inf
+            s0 += size
+            s1 += size * abs(k)
+            s2 += size * k * k
+        return s0, s1, s2
 
 
 @dataclass(frozen=True)
@@ -229,16 +236,15 @@ class RClosedForm:
         canonical = _canonical(self.terms, lambda c: c.c0 == 0.0 and c.c1 == 0.0)
         object.__setattr__(self, "terms", tuple(canonical))
 
+    @classmethod
+    def combine(cls, weighted) -> "RClosedForm":
+        """Sum of w*form over (RFun w, ClosedForm form) pairs, terms merged in pair order."""
+        return cls(tuple((kind, k, w.scaled(c)) for w, f in weighted for kind, k, c in f.terms))
+
     def evaluate(self, x, r: float):
         """Envelope at level r: a scalar for scalar x, else an array shaped like x."""
         values = evaluate_grids((self,), np.ravel(x), (r,))[0, 0, :, 0]
         return values[0] if np.ndim(x) == 0 else values.reshape(np.shape(x))
-
-    def evaluate_grid(self, xs, rs, derivative: int = 0) -> np.ndarray:
-        """The ``derivative``-th x-derivative on an x-by-r grid, shape (len(xs), len(rs)).
-        A slice of ``evaluate_grids``: one basis evaluation per key, terms summed
-        in canonical order, zero coefficients masked, the bits of the plain form."""
-        return evaluate_grids((self,), xs, rs, (derivative,))[0, 0]
 
 
 def evaluate_grids(forms, xs, rs, orders=(0,)) -> np.ndarray:
@@ -353,6 +359,11 @@ def roots(d: Polynomial) -> list[complex]:
             f"no closed-form factorization for denominator {d.coeffs}"
         )
 
+    if not all(cmath.isfinite(z) for z in found):
+        raise UnsupportedProblemError(
+            f"non-finite root or residue for denominator {d.coeffs}: "
+            "the coefficients are too large for double precision"
+        )
     found.sort(key=lambda z: (z.real, z.imag))
     for a, b in zip(found, found[1:]):
         if abs(a - b) <= ROOT_SEP_TOL * max(1.0, abs(a)):

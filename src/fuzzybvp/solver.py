@@ -16,10 +16,10 @@ its operator, and one inversion per operator serves every branch: one for
 both branches of cases 11/22, one each for the sum and the difference in
 the mixed cases.
 
-The envelopes are ``laplace.RClosedForm``. A branch is handed over as the
-plain list of its y0*phi and F*psi terms, a mixed-case branch as the halved
-terms of s and of +d or -d, and the closed form merges the terms that
-share a key.
+The kernel only eliminates: it returns phi, psi and each F. ``solve`` then
+builds each envelope once, as one ``laplace.RClosedForm.combine`` over
+weighted fundamental forms: y0*phi + F*psi in cases 11/22, and in the mixed
+cases the half sum of the s and +d or -d solutions, with the weights halved.
 
 This module only solves. Checking a solution, and running the cases side
 by side, is ``validate``'s job; nothing here imports it.
@@ -44,7 +44,6 @@ from .laplace import (
     Polynomial,
     RClosedForm,
     RationalFunction,
-    TermKind,
     inverse_laplace,
 )
 
@@ -170,42 +169,26 @@ def _fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedF
     return psi.differentiate() + psi.scaled(b / a), psi
 
 
-def _sizes(form: ClosedForm, L: float) -> tuple[float, float, float]:
-    """Sj = sum of |coeff|*|k|^j*peak, j = 0, 1, 2, bounds the j-th x-derivative of
-    ``form`` on [0, L]; the peak is 1 for cos and sin, else e^{max(k, 0)*L}."""
-    s0 = s1 = s2 = 0.0
-    for kind, k, coeff in form.terms:
-        bounded = kind in (TermKind.COS, TermKind.SIN)
-        try:
-            size = abs(coeff) * (1.0 if bounded else math.exp(max(k, 0.0) * L))
-        except OverflowError:  # math.exp
-            size = math.inf
-        s0 += size
-        s1 += size * abs(k)
-        s2 += size * k * k
-    return s0, s1, s2
-
-
 def _two_point(
     a: float, b: float, c: float, L: float, pairs: tuple[tuple[RFun, RFun], ...]
-) -> list[tuple[RClosedForm, RFun]]:
+) -> tuple[ClosedForm, ClosedForm, list[RFun]]:
     """The two-point kernel: a*y'' + b*y' + c*y = 0, y(0) = y0, y(L) = yL.
 
     Every (y0, yL) pair shares the operator, so the fundamental pair is
     inverted and evaluated at L once. For each pair the x = L value imposes
-    y0*phi(L) + F*psi(L) = yL, one linear equation for F. Returns, per pair,
-    the solution with term coefficients y0*phi_t + F*psi_t and F, both
-    affine in r.
+    y0*phi(L) + F*psi(L) = yL, one linear equation for F. Returns phi, psi
+    and the F of each pair, affine in r; the solution of a pair is
+    y0*phi + F*psi, which ``solve`` assembles.
 
     One overflow rule. With m0 = |y0.c0| + |y0.c1| and mF = |F.c0| + |F.c1|
-    (bounds for r in [0, 1]) and Bj = m0*Sj(phi) + mF*Sj(psi) (``_sizes``),
-    a pair is refused unless (1+|c|)*B0 + (1+|b|)*B1 + (1+|a|)*B2 is finite.
-    Bj bounds the j-th x-derivative at every level on [0, L], so the sum
-    bounds y, y', y'' and c*y, b*y', a*y'', which ``validate.check_level_set``
-    forms; in the mixed cases each call has its own operator, so it also
-    bounds a*lower'' + c_eff*upper. So every returned solution is checked
-    without overflow, and a non-finite phi(L), psi(L) or F, which makes the
-    sum non-finite, is refused too.
+    (bounds for r in [0, 1]) and Bj = m0*Sj(phi) + mF*Sj(psi), where Sj is
+    ``ClosedForm.bounds``, a pair is refused unless (1+|c|)*B0 + (1+|b|)*B1
+    + (1+|a|)*B2 is finite. Bj bounds the j-th x-derivative at every level
+    on [0, L], so the sum bounds y, y', y'' and c*y, b*y', a*y'', which
+    ``validate.check_level_set`` forms; in the mixed cases each call has its
+    own operator, so it also bounds a*lower'' + c_eff*upper. So every
+    returned solution is checked without overflow, and a non-finite phi(L),
+    psi(L) or F, which makes the sum non-finite, is refused too.
     """
     phi, psi = _fundamental_pair(a, b, c)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,21 +199,20 @@ def _two_point(
             f"boundary elimination pivot vanished at L={L}; the domain "
             "length is an eigenvalue of the operator"
         )
-    sizes = tuple(zip((1.0 + abs(c), 1.0 + abs(b), 1.0 + abs(a)), _sizes(phi, L), _sizes(psi, L)))
-    out = []
+    sizes = tuple(zip((1.0 + abs(c), 1.0 + abs(b), 1.0 + abs(a)), phi.bounds(L), psi.bounds(L)))
+    fs = []
     for y0, yL in pairs:
         f = RFun((yL.c0 - y0.c0 * phi_L) / psi_L, (yL.c1 - y0.c1 * phi_L) / psi_L)
         m0, mf = abs(y0.c0) + abs(y0.c1), abs(f.c0) + abs(f.c1)
         if not math.isfinite(sum(w * (m0 * s_phi + mf * s_psi) for w, s_phi, s_psi in sizes)):
-            k = max(abs(rate) for _, rate, _ in psi.terms)
+            _, rates, _ = zip(*psi.terms)
+            k = max(map(abs, rates))
             raise UnsupportedProblemError(
                 f"closed form overflows double precision at L={L}: k*L = {k * L:g} (rate k of "
                 f"the basis; a={a:g}, b={b:g}, c={c:g}, |y(0)| <= {m0:g}, |y'(0)| <= {mf:g})"
             )
-        terms = [(kind, k, y0.scaled(coeff)) for kind, k, coeff in phi.terms]
-        terms += [(kind, k, f.scaled(coeff)) for kind, k, coeff in psi.terms]
-        out.append((RClosedForm(tuple(terms)), f))
-    return out
+        fs.append(f)
+    return phi, psi, fs
 
 
 def solve(prob: FuzzyBVP) -> FuzzySolution:
@@ -238,7 +220,8 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
 
     Cases 11 and 22 separate the branches: each is a classical
     constant-coefficient problem, and both share one operator, so they go
-    to the two-point kernel together and share one inversion. Under case 22
+    to the two-point kernel together and share one inversion. Each branch
+    is y0*phi + F*psi, built by one ``RClosedForm.combine``. Under case 22
     the derivative endpoints swap twice, which restores the same template;
     only which branch owns which constant (F1, F2) changes. So both are
     solved as case 11, and ``FuzzySolution.as_case`` relabels the solution
@@ -253,21 +236,24 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
         a*d'' - c_eff*d = 0    (cos/sin, frequency w)
 
     with kappa = -c_eff/a. They need b = 0 and kappa > 0, and raise
-    ``CaseInapplicableError`` otherwise. Each is handed to the two-point
-    kernel with its own operator, and the branches and their initial
-    derivatives H1 = lower'(0), H2 = upper'(0) are recombined as half sums
-    and half differences. Cases 12 and 21 solve the same equations and give
-    the same solution. Every kernel call refuses (``UnsupportedProblemError``)
-    what ``check_level_set`` could not evaluate in double precision.
+    ``CaseInapplicableError`` otherwise. Each goes to the two-point kernel
+    with its own operator. A branch is then built once over both pairs, with
+    the weights s0/2, F_s/2 and +-d0/2, +-F_d/2, and H1 = lower'(0), H2 =
+    upper'(0) are the half sum and half difference of F_s and F_d. Cases 12
+    and 21 solve the same equations and give the same solution. Every kernel
+    call refuses (``UnsupportedProblemError``) what ``check_level_set`` could
+    not evaluate in double precision.
     """
     if prob.case is None:
         raise CaseInapplicableError("problem has no differentiability case set")
     bc0, bcL = prob.bc0, prob.bcL
     if not prob.case.is_mixed:
-        (lower, f_lower), (upper, f_upper) = _two_point(
+        phi, psi, (f_lower, f_upper) = _two_point(
             prob.a, prob.b, prob.c, prob.L,
             ((bc0.lower, bcL.lower), (bc0.upper, bcL.upper)),
         )
+        lower = RClosedForm.combine(((bc0.lower, phi), (f_lower, psi)))
+        upper = RClosedForm.combine(((bc0.upper, phi), (f_upper, psi)))
         constants = {"F1": f_lower, "F2": f_upper}
         return FuzzySolution(lower, upper, DiffCase.CASE_11, prob, constants).as_case(prob.case)
 
@@ -282,16 +268,13 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
         raise CaseInapplicableError(
             f"mixed cases need kappa = -c_eff/a > 0, got {kappa}; use case 11 or 22"
         )
-    ((s, f_s),) = _two_point(
-        prob.a, 0.0, c_eff, prob.L, ((bc0.lower + bc0.upper, bcL.lower + bcL.upper),)
-    )
-    ((d, f_d),) = _two_point(
-        prob.a, 0.0, -c_eff, prob.L, ((bc0.lower - bc0.upper, bcL.lower - bcL.upper),)
-    )
+    s0, d0 = bc0.lower + bc0.upper, bc0.lower - bc0.upper
+    phi_s, psi_s, (f_s,) = _two_point(prob.a, 0.0, c_eff, prob.L, ((s0, bcL.lower + bcL.upper),))
+    phi_d, psi_d, (f_d,) = _two_point(prob.a, 0.0, -c_eff, prob.L, ((d0, bcL.lower - bcL.upper),))
     constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
-    half_s = [(kind, k, coeff.scaled(0.5)) for kind, k, coeff in s.terms]
+    half_s = (s0.scaled(0.5), phi_s), (f_s.scaled(0.5), psi_s)
     lower, upper = (
-        RClosedForm((*half_s, *((kind, k, coeff.scaled(j)) for kind, k, coeff in d.terms)))
+        RClosedForm.combine((*half_s, (d0.scaled(j), phi_d), (f_d.scaled(j), psi_d)))
         for j in (0.5, -0.5)
     )
     return FuzzySolution(lower, upper, prob.case, prob, constants)

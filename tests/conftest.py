@@ -110,13 +110,15 @@ def rational_close(f: RationalFunction, g: RationalFunction, tol: float = 1e-12)
 
 def closed_forms_close(f: ClosedForm, g: ClosedForm, tol: float = 1e-10) -> bool:
     """Term-by-term coefficient comparison (same canonical structure)."""
-    keys = set(f.coeff_map()) | set(g.coeff_map())
+    f_map = {(kind, k): coeff for kind, k, coeff in f.terms}
+    g_map = {(kind, k): coeff for kind, k, coeff in g.terms}
+    keys = set(f_map) | set(g_map)
     scale = max(
         [1.0]
-        + [abs(c) for c in f.coeff_map().values()]
-        + [abs(c) for c in g.coeff_map().values()]
+        + [abs(c) for c in f_map.values()]
+        + [abs(c) for c in g_map.values()]
     )
-    return all(abs(f.coeff(kind, k) - g.coeff(kind, k)) <= tol * scale for kind, k in keys)
+    return all(abs(f_map.get(key, 0.0) - g_map.get(key, 0.0)) <= tol * scale for key in keys)
 
 
 def same_function(f: ClosedForm, g: ClosedForm, tol: float = 1e-9) -> bool:

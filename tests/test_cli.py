@@ -388,6 +388,29 @@ class TestRun:
         assert all("UnsupportedProblemError" in line for line in err)
         assert not any("error: internal" in line for line in err)
 
+    def test_overflowing_discriminant_exit_1(self, tmp_path, capsys):
+        # roots -114.8 and 23.6, but b*b - 4*a*c overflows: refused for the
+        # coefficients' range in 11/22, as inapplicable in 12/21, never as resonant
+        text = WAVE_PROBLEM
+        for old, new in (
+            ("a = 1\n", "a = 1.8598821737886637e166\n"),
+            ("b = 0\n", "b = 1.697451456474211e168\n"),
+            ("c = -1\n", "c = -5.033210501176903e169\n"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text)
+        out = tmp_path / "out"
+        assert main([str(problem), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert [line.split(":")[0] for line in err] == [
+            f"case {tag} failed" for tag in ("11", "22", "12", "21")
+        ]
+        assert err[0].startswith("case 11 failed: UnsupportedProblemError: non-finite root or residue")
+        assert "resonant" not in captured.out + captured.err + (out / "report.txt").read_text()
+
     @pytest.mark.parametrize(
         "edits, mixed",
         [

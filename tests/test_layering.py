@@ -112,3 +112,16 @@ def readme_api_names() -> set[str]:
 
 def test_readme_api_lists_exactly_the_exports():
     assert readme_api_names() == set(fuzzybvp.__all__)
+
+
+def readme_python_blocks() -> list[str]:
+    """The body of every ```python block of the README."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+
+
+def test_readme_python_blocks_run():
+    # the documented quick start runs against the current API
+    blocks = readme_python_blocks()
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})

@@ -1,7 +1,9 @@
 """The transform pipeline end to end, for all four differentiability cases."""
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -27,6 +29,7 @@ from fuzzybvp import (
     solve,
 )
 from fuzzybvp import solver
+from fuzzybvp.cli import parse_problem_file
 from fuzzybvp.laplace import Polynomial, RationalFunction, evaluate_grids, inverse_laplace
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))      # (1+r, 3-r)
@@ -84,15 +87,17 @@ class TestTransformTemplates:
         # y'' - 3y' + 2y = 0 has roots 1 and 2: psi = e^2x - e^x, and
         # phi = psi' - 3*psi = 2e^x - e^2x
         phi, psi = solver._fundamental_pair(1.0, -3.0, 2.0)
-        assert phi.coeff_map() == {(TermKind.EXP, 1.0): 2.0, (TermKind.EXP, 2.0): -1.0}
-        assert psi.coeff_map() == {(TermKind.EXP, 1.0): -1.0, (TermKind.EXP, 2.0): 1.0}
+        phi_map, psi_map = ({(kind, k): c for kind, k, c in form.terms} for form in (phi, psi))
+        assert phi_map == {(TermKind.EXP, 1.0): 2.0, (TermKind.EXP, 2.0): -1.0}
+        assert psi_map == {(TermKind.EXP, 1.0): -1.0, (TermKind.EXP, 2.0): 1.0}
         for form, value, slope in ((phi, 1.0, 0.0), (psi, 0.0, 1.0)):
             assert form.evaluate(0.0) == value
             assert form.differentiate().evaluate(0.0) == slope
 
     def test_crisp_zero_template(self):
         zero = FuzzyNumber.crisp(0.0)
-        ((form, f),) = solver._two_point(1.0, 0.0, -1.0, 1.0, ((zero.lower, zero.upper),))
+        phi, psi, (f,) = solver._two_point(1.0, 0.0, -1.0, 1.0, ((zero.lower, zero.upper),))
+        form = RClosedForm.combine(((zero.lower, phi), (f, psi)))
         assert form.terms == ()
         assert f == RFun(0.0, 0.0)
 
@@ -254,7 +259,7 @@ class TestSolveUncoupled:
             root = mpmath.sqrt(mpmath.mpf(1e8) ** 2 - 4)
             m1, m2 = (-mpmath.mpf(1e8) + root) / 2, (-mpmath.mpf(1e8) - root) / 2
             for branch, y0, yL in ((sol.lower, BC0.lower, BCL.lower), (sol.upper, BC0.upper, BCL.upper)):
-                got = branch.evaluate_grid(xs, rs)
+                got = evaluate_grids((branch,), xs, rs, (0,))[0, 0]
                 for j, r in enumerate(rs):
                     y0r, yLr = mpmath.mpf(y0(r)), mpmath.mpf(yL(r))
                     fast = (yLr - y0r * mpmath.exp(m1)) / (mpmath.exp(m2) - mpmath.exp(m1))
@@ -491,7 +496,7 @@ class TestDispatchAndEnumeration:
 
 def _assert_grid_matches_per_point(branch: RClosedForm, xs, rs) -> None:
     for derivative in (0, 1, 2):
-        grid = branch.evaluate_grid(xs, rs, derivative)
+        grid = evaluate_grids((branch,), xs, rs, (derivative,))[0, 0]
         assert grid.shape == (len(xs), len(rs))
         assert grid.tobytes() == per_point(branch, xs, rs, derivative).tobytes()
 
@@ -627,11 +632,11 @@ class TestEvaluateGrid:
             (TermKind.SINH, 0.7, RFun(2.0, -4.0)),
         ))
         _assert_grid_matches_per_point(dead_level, xs, rs)
-        assert not np.signbit(dead_level.evaluate_grid(xs, rs)[:, 2]).any()
+        assert not np.signbit(evaluate_grids((dead_level,), xs, rs, (0,))[0, 0][:, 2]).any()
         # -1*sin(0) = -0.0 is the whole value at x = 0 and keeps its sign
         sine = RClosedForm(((TermKind.SIN, 1.0, RFun(-1.0)),))
         _assert_grid_matches_per_point(sine, xs, rs)
-        assert np.signbit(sine.evaluate_grid(xs, rs)[0]).all()
+        assert np.signbit(evaluate_grids((sine,), xs, rs, (0,))[0, 0][0]).all()
 
     def test_identically_zero_branch(self):
         branch = RClosedForm(((TermKind.COSH, 1.0, RFun(0.0, 0.0)),))
@@ -639,7 +644,7 @@ class TestEvaluateGrid:
         xs = np.linspace(0.0, 1.0, 4)
         rs = np.linspace(0.0, 1.0, 3)
         for derivative in (0, 1, 2):
-            grid = branch.evaluate_grid(xs, rs, derivative)
+            grid = evaluate_grids((branch,), xs, rs, (derivative,))[0, 0]
             assert grid.tobytes() == np.zeros((4, 3)).tobytes()
         assert branch.evaluate(0.5, 0.5) == 0.0
         assert branch.evaluate(xs, 0.5).tobytes() == np.zeros(4).tobytes()
@@ -650,7 +655,7 @@ class TestEvaluateGrid:
         xs = np.linspace(0.0, 1.0, 11)
         values = sol.lower.evaluate(xs, 0.5)
         assert values.shape == (11,)
-        assert values.tobytes() == sol.lower.evaluate_grid(xs, [0.5])[:, 0].tobytes()
+        assert values.tobytes() == evaluate_grids((sol.lower,), xs, [0.5], (0,))[0, 0][:, 0].tobytes()
 
 
 def _three_template_branch(a, b, c, L, y0, yL):
@@ -664,10 +669,11 @@ def _three_template_branch(a, b, c, L, y0, yL):
     if abs(gL) <= solver.PIVOT_TOL:
         raise EigenvalueDegeneracyError("pivot")
     f = RFun((yL.c0 - b0L) / gL, (yL.c1 - b1L) / gL)
-    keys = dict.fromkeys([*base0.coeff_map(), *base1.coeff_map(), *gain.coeff_map()])
+    base0, base1, gain = ({(kind, k): c for kind, k, c in form.terms} for form in (base0, base1, gain))
+    keys = dict.fromkeys([*base0, *base1, *gain])
     terms = tuple(
-        (kind, k, RFun(base0.coeff(kind, k) + f.c0 * gain.coeff(kind, k),
-                       base1.coeff(kind, k) + f.c1 * gain.coeff(kind, k)))
+        (kind, k, RFun(base0.get((kind, k), 0.0) + f.c0 * gain.get((kind, k), 0.0),
+                       base1.get((kind, k), 0.0) + f.c1 * gain.get((kind, k), 0.0)))
         for kind, k in keys
     )
     return RClosedForm(terms), f
@@ -698,6 +704,70 @@ def _three_template_solve(prob):
     return _half_sum(s, d, 1.0), _half_sum(s, d, -1.0), constants
 
 
+def _kernel_triples_solve(prob):
+    """Envelopes and constants as they were assembled from kernel triples.
+
+    Each branch is built from y0*phi_t and F*psi_t, one triple per term of
+    the kernel's phi and psi; the mixed cases build the s and d closed forms
+    and then halve their terms into (s + d)/2 and (s - d)/2.
+    """
+    bc0, bcL = prob.bc0, prob.bcL
+
+    def branches(a, b, c, pairs):
+        phi, psi, fs = solver._two_point(a, b, c, prob.L, pairs)
+        out = []
+        for (y0, _), f in zip(pairs, fs):
+            terms = [(kind, k, y0.scaled(coeff)) for kind, k, coeff in phi.terms]
+            terms += [(kind, k, f.scaled(coeff)) for kind, k, coeff in psi.terms]
+            out.append((RClosedForm(tuple(terms)), f))
+        return out
+
+    if not prob.case.is_mixed:
+        (lower, f_lower), (upper, f_upper) = branches(
+            prob.a, prob.b, prob.c, ((bc0.lower, bcL.lower), (bc0.upper, bcL.upper))
+        )
+        if prob.case is DiffCase.CASE_22:
+            return lower, upper, {"F1": f_upper, "F2": f_lower}
+        return lower, upper, {"F1": f_lower, "F2": f_upper}
+    c_eff = prob.effective_c(prob.case)
+    ((s, f_s),) = branches(prob.a, 0.0, c_eff, ((bc0.lower + bc0.upper, bcL.lower + bcL.upper),))
+    ((d, f_d),) = branches(prob.a, 0.0, -c_eff, ((bc0.lower - bc0.upper, bcL.lower - bcL.upper),))
+    constants = {"H1": (f_s + f_d).scaled(0.5), "H2": (f_s - f_d).scaled(0.5)}
+    half_s = [(kind, k, coeff.scaled(0.5)) for kind, k, coeff in s.terms]
+    lower, upper = (
+        RClosedForm((*half_s, *((kind, k, coeff.scaled(j)) for kind, k, coeff in d.terms)))
+        for j in (0.5, -0.5)
+    )
+    return lower, upper, constants
+
+
+def _hex_solution(lower, upper, constants):
+    """Every term and constant as float.hex, so -0.0 and the last bit count."""
+    def hexed(f):
+        return f.c0.hex(), f.c1.hex()
+
+    forms = [[(kind, k.hex(), *hexed(coeff)) for kind, k, coeff in form.terms] for form in (lower, upper)]
+    return forms, {name: hexed(f) for name, f in constants.items()}
+
+
+def _assert_assembly_matches_kernel_triples(prob):
+    try:
+        want = _kernel_triples_solve(prob)
+    except FuzzyBvpError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            solve(prob)
+        return
+    sol = solve(prob)
+    assert _hex_solution(sol.lower, sol.upper, sol.constants) == _hex_solution(*want)
+
+
+DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+
+# Halving is exact above 2**-1021. Boundary data of at least this size keep
+# every product and sum of the assembly there (k*L <= 7 bounds the basis).
+NORMAL_DATA = 2.0 ** -900
+
+
 def _term_scale(form: RClosedForm, xs, rs) -> np.ndarray:
     """(|c0| + |c1|*r) * |basis(k*x)| summed over the terms of ``form``, per grid point.
 
@@ -708,7 +778,7 @@ def _term_scale(form: RClosedForm, xs, rs) -> np.ndarray:
     out = np.zeros((len(xs), len(rs)))
     for kind, k, coeff in form.terms:
         bound = RFun(abs(coeff.c0), abs(coeff.c1))
-        out += np.abs(RClosedForm(((kind, k, bound),)).evaluate_grid(xs, rs))
+        out += np.abs(evaluate_grids((RClosedForm(((kind, k, bound),)),), xs, rs, (0,))[0, 0])
     return out
 
 
@@ -732,10 +802,60 @@ class TestTwoPointKernel:
         rs = np.array([0.0, 1.0])
         lower, upper, constants = want
         for got, ref in ((sol.lower, lower), (sol.upper, upper)):
-            assert _close(got.evaluate_grid(xs, rs), ref.evaluate_grid(xs, rs), _term_scale(ref, xs, rs))
+            got_grid = evaluate_grids((got,), xs, rs, (0,))[0, 0]
+            ref_grid = evaluate_grids((ref,), xs, rs, (0,))[0, 0]
+            assert _close(got_grid, ref_grid, _term_scale(ref, xs, rs))
         assert sol.constants.keys() == constants.keys()
         for name, ref in constants.items():
             assert _close(sol.constants[name](rs), ref(rs), abs(ref.c0) + abs(ref.c1) * rs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(prob=solvable_problems())
+    def test_assembly_bit_identical_to_kernel_triples(self, prob):
+        # one combine per envelope over halved weights has the bits of
+        # building s and d and halving their terms: scaling by 0.5 is exact
+        data = [v for fn in (prob.bc0, prob.bcL) for f in (fn.lower, fn.upper) for v in (f.c0, f.c1)]
+        assume(all(v == 0.0 or abs(v) >= NORMAL_DATA for v in data))
+        _assert_assembly_matches_kernel_triples(prob)
+
+    @pytest.mark.parametrize("name, tag", [
+        ("wave", "11"), ("wave", "22"), ("wave", "12"), ("wave", "21"),
+        ("homogeneous", "11"), ("homogeneous", "22"),
+    ])
+    def test_demo_assembly_bit_identical_to_kernel_triples(self, name, tag):
+        prob = parse_problem_file(DEMO_PROBLEMS / f"{name}.problem").problem
+        _assert_assembly_matches_kernel_triples(replace(prob, case=DiffCase(tag)))
+
+    def test_subnormal_products_may_round_apart(self):
+        # below 2**-1021 halving rounds: (d/2)*coeff and (d*coeff)/2 may differ
+        # by one unit 2**-1074, so a term the halved-terms path rounded to 0
+        # survives here at the smallest subnormal
+        tiny = 5e-324
+        prob = FuzzyBVP(
+            a=-1.0, b=0.0, c=2.25, L=1.0, case=DiffCase.CASE_12,
+            bc0=FuzzyNumber(RFun(0.0, 0.0), RFun(0.0, -0.0)),
+            bcL=FuzzyNumber(RFun(0.0, 0.0), RFun(tiny, -tiny)),
+        )
+        sol = solve(prob)
+        lower, upper, _ = _kernel_triples_solve(prob)
+        assert lower.terms == upper.terms == ()
+        assert sol.lower.terms == ((TermKind.SIN, 1.5, RFun(-tiny, tiny)),)
+        assert sol.upper.terms == ((TermKind.SIN, 1.5, RFun(tiny, -tiny)),)
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda case: case.tag)
+    def test_two_closed_forms_per_solve(self, monkeypatch, case):
+        # each envelope is built once: no intermediate s or d closed form
+        built = []
+        post_init = RClosedForm.__post_init__
+
+        def counting(form):
+            built.append(form)
+            post_init(form)
+
+        monkeypatch.setattr(RClosedForm, "__post_init__", counting)
+        sol = solve(wave_problem(case))
+        assert len(built) == 2
+        assert built[0] is sol.lower and built[1] is sol.upper
 
     @pytest.mark.parametrize("case, calls", [
         (DiffCase.CASE_11, 1), (DiffCase.CASE_22, 1), (DiffCase.CASE_12, 2), (DiffCase.CASE_21, 2),

@@ -31,6 +31,7 @@ from fuzzybvp import (
     solve,
 )
 from fuzzybvp import validate
+from fuzzybvp.laplace import evaluate_grids
 from conftest import per_point
 from test_solver import NEAR_OVERFLOW, homogeneous_problem, wave_problem
 
@@ -55,6 +56,9 @@ EXTREME_PROBLEMS = {
         "closed form overflows",
     ),
 }
+
+# Representable coefficients whose discriminant b*b - 4*a*c overflows.
+OVERFLOWING_DISCRIMINANT = {"a": 1.8598821737886637e166, "b": 1.697451456474211e168, "c": -5.033210501176903e169}
 
 
 def wave_solution(case=DiffCase.CASE_11):
@@ -129,8 +133,8 @@ def _endpoint_boundary_residual(sol, r_count: int) -> float:
     """Boundary residual from a separate evaluation at x = 0 and x = L only."""
     prob = sol.problem
     rs = np.linspace(0.0, 1.0, r_count)
-    lo = sol.lower.evaluate_grid((0.0, prob.L), rs)
-    up = sol.upper.evaluate_grid((0.0, prob.L), rs)
+    lo = evaluate_grids((sol.lower,), (0.0, prob.L), rs, (0,))[0, 0]
+    up = evaluate_grids((sol.upper,), (0.0, prob.L), rs, (0,))[0, 0]
     gaps = (
         lo[0] - prob.bc0.lower(rs),
         up[0] - prob.bc0.upper(rs),
@@ -194,6 +198,21 @@ class TestCheckCase:
         res = check_case(wave_problem(case=None), DiffCase.CASE_11)
         assert not res.solved and res.report is None
         assert res.error.startswith("UnsupportedProblemError: case 11 overflows")
+
+    def test_overflowing_discriminant_is_no_resonance(self):
+        # the roots are -114.8 and 23.6, but b*b - 4*a*c overflows
+        prob = FuzzyBVP(**OVERFLOWING_DISCRIMINANT, L=1.0, bc0=BC0, bcL=BCL)
+        for case in ALL_CASES:
+            with pytest.raises(FuzzyBvpError) as info:
+                solve(replace(prob, case=case))
+            assert "resonant" not in str(info.value)
+            if not case.is_mixed:
+                assert str(info.value).startswith("non-finite root or residue")
+        results = enumerate_cases(prob)
+        assert [r.case for r in results] == list(ALL_CASES)
+        assert not any(r.solved for r in results)
+        assert not any("resonant" in r.error for r in results)
+        assert results[0].error.startswith("UnsupportedProblemError: non-finite root or residue")
 
     @pytest.mark.parametrize("name", sorted(EXTREME_PROBLEMS))
     def test_overflowing_transform_fails_every_case(self, name):
@@ -547,8 +566,8 @@ def _oracle_gap_per_level(sol, n, r_values):
     with a running max."""
     prob = sol.problem
     xs = np.linspace(0.0, prob.L, n + 1)
-    lo_grid = sol.lower.evaluate_grid(xs, r_values)
-    up_grid = sol.upper.evaluate_grid(xs, r_values)
+    lo_grid = evaluate_grids((sol.lower,), xs, r_values, (0,))[0, 0]
+    up_grid = evaluate_grids((sol.upper,), xs, r_values, (0,))[0, 0]
     worst = 0.0
     for j, r in enumerate(r_values):
         bc = (prob.bc0.lower(r), prob.bc0.upper(r), prob.bcL.lower(r), prob.bcL.upper(r))
