@@ -12,8 +12,10 @@ inverse pairs them by lookup, not by a tolerance.
 ``ClosedForm`` (float coefficients, from ``inverse_laplace``) and
 ``RClosedForm`` (coefficients affine in r, the solution envelopes) both
 hold plain (kind, k, coeff) triples and share one normal form,
-``_canonical``, and one derivative rule, ``_derivative``. The solver builds
-each envelope with ``RClosedForm.combine`` and sizes it with ``ClosedForm.bounds``.
+``_canonical``, and one derivative rule, ``_derivative``. The solver takes
+the fundamental pair (phi, psi) of each operator from ``fundamental_pair``,
+one inversion and one construction of phi, then builds each envelope with
+``RClosedForm.combine`` and sizes it with ``ClosedForm.bounds``.
 """
 
 from __future__ import annotations
@@ -74,9 +76,6 @@ class Polynomial:
             return Polynomial((0.0,))
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
-    def scaled(self, j: float) -> "Polynomial":
-        return Polynomial(tuple(j * c for c in self.coeffs))
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
         n = max(len(self.coeffs), len(other.coeffs))
         a = self.coeffs + (0.0,) * (n - len(self.coeffs))
@@ -108,12 +107,6 @@ class RationalFunction:
                 f"not strictly proper: numerator degree {self.numerator.degree} "
                 f">= denominator degree {self.denominator.degree}"
             )
-
-    def evaluate(self, p):
-        return self.numerator.evaluate(p) / self.denominator.evaluate(p)
-
-    def scaled(self, j: float) -> "RationalFunction":
-        return RationalFunction(self.numerator.scaled(j), self.denominator)
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(
@@ -200,12 +193,6 @@ class ClosedForm:
 
     def differentiate(self) -> "ClosedForm":
         return ClosedForm(tuple(_derivative(self.terms)))
-
-    def scaled(self, j: float) -> "ClosedForm":
-        return ClosedForm(tuple((kind, k, j * coeff) for kind, k, coeff in self.terms))
-
-    def __add__(self, other: "ClosedForm") -> "ClosedForm":
-        return ClosedForm(self.terms + other.terms)
 
     def bounds(self, L: float) -> tuple[float, float, float]:
         """Sj = sum of |coeff|*|k|^j*peak, j = 0, 1, 2, bounds the j-th x-derivative
@@ -398,12 +385,12 @@ def inverse_laplace(f: RationalFunction) -> ClosedForm:
     frequency; its conjugate carries the conjugate residue. Nearly
     symmetric real roots are not a pair and stay two exponentials. Roots
     with both parts nonzero would need exponentially damped oscillations
-    the basis does not contain, so they are rejected, and so are non-finite
-    roots or residues, which coefficients near the double-precision range
-    produce.
+    the basis does not contain, so they are rejected. Coefficients near the
+    double-precision range produce non-finite roots, which ``roots``
+    refuses, or non-finite residues, which are refused here.
     """
     residues = {root: res for res, root in partial_fractions(f)}
-    if not all(cmath.isfinite(res) and cmath.isfinite(root) for root, res in residues.items()):
+    if not all(cmath.isfinite(res) for res in residues.values()):
         raise UnsupportedProblemError(
             f"non-finite root or residue for denominator {f.denominator.coeffs}: "
             "the coefficients are too large for double precision"
@@ -428,6 +415,24 @@ def inverse_laplace(f: RationalFunction) -> ClosedForm:
                 "oscillations are outside the exp/trig/hyperbolic basis"
             )
     return ClosedForm(tuple(terms))
+
+
+def fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedForm]:
+    """The fundamental pair (phi, psi) of a*y'' + b*y' + c*y = 0.
+
+    With y(0) = y0 and y'(0) = F kept symbolic, l[y'] = p*l[y] - y(0) and
+    l[y''] = p^2*l[y] - p*y(0) - y'(0) give
+
+        (a p^2 + b p + c) l[y] = y0*(a p + b) + F*a,
+
+    so y = y0*phi + F*psi. Only psi = l^-1[a / (a p^2 + b p + c)] is
+    inverted. Since psi(0) = 0, the same rule gives l[psi'] = p*l[psi], so
+    phi = psi' + (b/a)*psi, formed with the exact term-wise derivative.
+    """
+    psi = inverse_laplace(RationalFunction(Polynomial((a,)), Polynomial((c, b, a))))
+    gain = b / a
+    scaled = ((kind, k, gain * coeff) for kind, k, coeff in psi.terms)
+    return ClosedForm((*_derivative(psi.terms), *scaled)), psi
 
 
 def forward_laplace(g: ClosedForm) -> RationalFunction:

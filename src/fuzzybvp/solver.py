@@ -12,9 +12,10 @@ couple them, and the sum and difference of the branches decouple them
 again. ``solve`` is the one entry, and every case goes through one
 two-point kernel, ``_two_point``. The transform is linear in y(0) and
 y'(0), so each branch is y(0)*phi + y'(0)*psi over the fundamental pair of
-its operator, and one inversion per operator serves every branch: one for
-both branches of cases 11/22, one each for the sum and the difference in
-the mixed cases.
+its operator. ``laplace.fundamental_pair`` forms that pair from one
+inversion, and one pair per operator serves every branch: one for both
+branches of cases 11/22, one each for the sum and the difference in the
+mixed cases. This module holds no transform algebra of its own.
 
 The kernel only eliminates: it returns phi, psi and each F. ``solve`` then
 builds each envelope once, as one ``laplace.RClosedForm.combine`` over
@@ -39,16 +40,11 @@ from .errors import (
     UnsupportedProblemError,
 )
 from .fuzzy import FuzzyNumber, RFun
-from .laplace import (
-    ClosedForm,
-    Polynomial,
-    RClosedForm,
-    RationalFunction,
-    inverse_laplace,
-)
+from .laplace import ClosedForm, RClosedForm, fundamental_pair
 
-# A shooting-constant pivot smaller than this is a resonance of the
-# operator, not a solvable elimination.
+# An absolute bound on the shooting-constant pivot psi(L). A pivot at or
+# below it is refused: at a resonance of the operator, but also where psi(L)
+# is only small (a decaying operator on a long domain, a very short domain).
 PIVOT_TOL = 1e-12
 
 
@@ -153,22 +149,6 @@ class FuzzySolution:
         return FuzzySolution(self.lower, self.upper, case, problem, constants)
 
 
-def _fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedForm]:
-    """The fundamental pair (phi, psi) of a*y'' + b*y' + c*y = 0.
-
-    With y(0) = y0 and y'(0) = F kept symbolic, l[y'] = p*l[y] - y(0) and
-    l[y''] = p^2*l[y] - p*y(0) - y'(0) give
-
-        (a p^2 + b p + c) l[y] = y0*(a p + b) + F*a,
-
-    so y = y0*phi + F*psi. Only psi = l^-1[a / (a p^2 + b p + c)] is
-    inverted. Since psi(0) = 0, the same rule gives l[psi'] = p*l[psi], so
-    phi = psi' + (b/a)*psi, formed with the exact term-wise derivative.
-    """
-    psi = inverse_laplace(RationalFunction(Polynomial((a,)), Polynomial((c, b, a))))
-    return psi.differentiate() + psi.scaled(b / a), psi
-
-
 def _two_point(
     a: float, b: float, c: float, L: float, pairs: tuple[tuple[RFun, RFun], ...]
 ) -> tuple[ClosedForm, ClosedForm, list[RFun]]:
@@ -190,14 +170,16 @@ def _two_point(
     returned solution is checked without overflow, and a non-finite phi(L),
     psi(L) or F, which makes the sum non-finite, is refused too.
     """
-    phi, psi = _fundamental_pair(a, b, c)
+    phi, psi = fundamental_pair(a, b, c)
     with np.errstate(over="ignore", invalid="ignore"):
         phi_L = float(phi.evaluate(L))
         psi_L = float(psi.evaluate(L))
     if abs(psi_L) <= PIVOT_TOL:
         raise EigenvalueDegeneracyError(
-            f"boundary elimination pivot vanished at L={L}; the domain "
-            "length is an eigenvalue of the operator"
+            f"boundary elimination pivot |psi(L)| = {abs(psi_L):g} is at most PIVOT_TOL = "
+            f"{PIVOT_TOL:g} at L={L}: the domain length is an eigenvalue of the operator, or "
+            "the pivot fell below the absolute tolerance (for example a decaying operator "
+            "on a long domain, or a very short domain)"
         )
     sizes = tuple(zip((1.0 + abs(c), 1.0 + abs(b), 1.0 + abs(a)), phi.bounds(L), psi.bounds(L)))
     fs = []

@@ -19,6 +19,7 @@ twin cases (11/22 and 12/21) and relabels the result for the twin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,14 +197,22 @@ def _end_solutions(sub: float, diag: float, sup: float, m: int) -> tuple[np.ndar
     return u, v[::-1]
 
 
+def _require_finite(**values) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _boundary_arrays(*values) -> list[np.ndarray]:
-    """Float arrays of the boundary values, all scalars or all 1-D of one length."""
+    """Finite float arrays of the boundary values, all scalars or all 1-D of one length."""
     arrays = [np.asarray(v, dtype=float) for v in values]
     shapes = [x.shape for x in arrays]
     if arrays[0].ndim > 1 or len(set(shapes)) > 1:
         raise ValueError(
             f"boundary values must be scalars or 1-D sequences of equal length, got shapes {shapes}"
         )
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError("boundary values must be finite")
     return arrays
 
 
@@ -213,17 +222,23 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     ``y0`` and ``yL`` are two scalars, or two 1-D sequences of equal length
     holding one boundary pair per column. Returns the n+1 grid values
     including both boundaries, with shape (n+1,) for scalars and (n+1, k)
-    for k pairs. A column's interior is -sub*y0*u - sup*yL*v, with u and v
-    the stencil's solutions for a unit value at the left and the right end
-    (``_end_solutions``), shared by all columns; so a column has the same
+    for k pairs. A column's interior is (-sub*u)*y0 + (-sup*v)*yL, with u
+    and v the stencil's solutions for a unit value at the left and the right
+    end (``_end_solutions``), shared by all columns; so a column has the same
     bits alone as with others, and a scalar call equals a one-column call.
-    Accuracy is O((L/n)^2); this is the independent check for the
-    closed-form pipeline and shares none of its machinery.
+    The stencil weight scales u and v before the data do, so data near the
+    overflow edge are not first multiplied by sub ~ a*n^2/L^2. Non-finite
+    coefficients, L or boundary values and a non-positive L raise
+    ``ValueError``. Accuracy is O((L/n)^2); this is the independent check
+    for the closed-form pipeline and shares none of its machinery.
     """
     if n < 16:
         raise ValueError(f"need at least 16 intervals, got {n}")
+    _require_finite(a=a, b=b, c=c, L=L)
     if a == 0.0:
         raise ValueError("leading coefficient a must be nonzero")
+    if not L > 0.0:
+        raise ValueError(f"domain length must be positive, got {L}")
     y0, yL = _boundary_arrays(y0, yL)
     h = L / n
     sub = a / h**2 - b / (2.0 * h)
@@ -233,8 +248,8 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     out = np.empty((n + 1, y0.size))
     out[0] = y0
     out[-1] = yL
-    np.multiply.outer(u, -sub * y0.ravel(), out=out[1:-1])
-    out[1:-1] += np.multiply.outer(v, -sup * yL.ravel())
+    np.multiply.outer(-sub * u, y0.ravel(), out=out[1:-1])
+    out[1:-1] += np.multiply.outer(-sup * v, yL.ravel())
     return out if y0.ndim else out[:, 0]
 
 
@@ -250,7 +265,9 @@ def fd_oracle_coupled(
     boundary values follow ``fd_oracle``'s rule: scalars or equal-length
     sequences, one column per boundary set, so each of the two matrices
     gets its two end solutions once however many columns there are.
+    Invalid input raises ``ValueError`` as in ``fd_oracle``.
     """
+    _require_finite(kappa=kappa)
     v0, w0, vL, wL = _boundary_arrays(v0, w0, vL, wL)
     s = fd_oracle(a, 0.0, -kappa, L, v0 + w0, vL + wL, n)
     d = fd_oracle(a, 0.0, kappa, L, v0 - w0, vL - wL, n)

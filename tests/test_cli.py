@@ -1,9 +1,11 @@
 """Problem-file parsing, the run entry point, and its emitted artifacts."""
 
 import codecs
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -387,6 +389,26 @@ class TestRun:
         ]
         assert all("UnsupportedProblemError" in line for line in err)
         assert not any("error: internal" in line for line in err)
+
+    def test_oracle_at_data_scale_1e300(self, tmp_path):
+        # -sub*y0 with sub = 1e8 (n = 10**4) would overflow these data
+        text = WAVE_PROBLEM
+        for old, new in (
+            ("lower = 1 1", "lower = 1e300 1e300"), ("upper = 3 -1", "upper = 3e300 -1e300"),
+            ("lower = 4 1", "lower = 4e300 1e300"), ("upper = 6 -1", "upper = 6e300 -1e300"),
+        ):
+            assert old in text
+            text = text.replace(old, new)
+        problem = tmp_path / "problem.txt"
+        problem.write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([str(problem), "--oracle", "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text().splitlines()
+        gaps = [float(line.split(" = ")[1]) for line in report if line.startswith("oracle_max_gap = ")]
+        assert len(gaps) == 4
+        assert all(math.isfinite(gap) for gap in gaps)
 
     def test_overflowing_discriminant_exit_1(self, tmp_path, capsys):
         # roots -114.8 and 23.6, but b*b - 4*a*c overflows: refused for the

@@ -15,6 +15,7 @@ from conftest import fix_r, per_point
 from fuzzybvp import (
     ALL_CASES,
     CaseInapplicableError,
+    ClosedForm,
     DiffCase,
     EigenvalueDegeneracyError,
     FuzzyBVP,
@@ -24,11 +25,12 @@ from fuzzybvp import (
     RFun,
     TermKind,
     UnsupportedProblemError,
+    check_level_set,
     enumerate_cases,
     fd_oracle,
     solve,
 )
-from fuzzybvp import solver
+from fuzzybvp import laplace, solver
 from fuzzybvp.cli import parse_problem_file
 from fuzzybvp.laplace import Polynomial, RationalFunction, evaluate_grids, inverse_laplace
 
@@ -79,14 +81,14 @@ class TestTransformTemplates:
     def test_wave_template(self):
         # a p^2 - 1 = (p - 1)(p + 1): psi = l^-1[1/(p^2 - 1)] = sinh x and
         # phi = psi' = cosh x, the solutions with (y, y') = (1, 0) and (0, 1) at 0
-        phi, psi = solver._fundamental_pair(1.0, 0.0, -1.0)
+        phi, psi = laplace.fundamental_pair(1.0, 0.0, -1.0)
         assert phi.terms == ((TermKind.COSH, 1.0, 1.0),)
         assert psi.terms == ((TermKind.SINH, 1.0, 1.0),)
 
     def test_homogeneous_template_sign(self):
         # y'' - 3y' + 2y = 0 has roots 1 and 2: psi = e^2x - e^x, and
         # phi = psi' - 3*psi = 2e^x - e^2x
-        phi, psi = solver._fundamental_pair(1.0, -3.0, 2.0)
+        phi, psi = laplace.fundamental_pair(1.0, -3.0, 2.0)
         phi_map, psi_map = ({(kind, k): c for kind, k, c in form.terms} for form in (phi, psi))
         assert phi_map == {(TermKind.EXP, 1.0): 2.0, (TermKind.EXP, 2.0): -1.0}
         assert psi_map == {(TermKind.EXP, 1.0): -1.0, (TermKind.EXP, 2.0): 1.0}
@@ -218,6 +220,23 @@ class TestSolveUncoupled:
         )
         with pytest.raises(EigenvalueDegeneracyError):
             solve(prob)
+
+    @pytest.mark.parametrize("b, c, L, solvable_L", [
+        (3.0, 2.0, 30.0, 20.0),         # roots -1, -2: psi(L) = e^-L - e^-2L, no eigenvalue
+        (0.0, -1.0, 1e-13, 1e-11),      # psi(L) = sinh(L) ~ L on a very short domain
+        (0.0, np.pi ** 2, 1.0, None),   # sin(pi x) vanishes at L = 1: an eigenvalue
+    ], ids=["decaying-long", "very-short", "eigenvalue"])
+    def test_pivot_refusal_names_what_it_measured(self, b, c, L, solvable_L):
+        prob = FuzzyBVP(a=1.0, b=b, c=c, L=L, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
+        with pytest.raises(EigenvalueDegeneracyError) as info:
+            solve(prob)
+        message = str(info.value)
+        assert message.startswith("boundary elimination pivot |psi(L)| = ")
+        assert f"is at most PIVOT_TOL = 1e-12 at L={L}: the domain length is an eigenvalue" in message
+        assert "or the pivot fell below the absolute tolerance" in message
+        if solvable_L is not None:
+            sol = solve(replace(prob, L=solvable_L))
+            assert check_level_set(sol).max_boundary_residual <= 1e-6
 
     def test_repeated_characteristic_root_raises(self):
         prob = FuzzyBVP(a=1.0, b=-2.0, c=1.0, L=1.0, bc0=BC0, bcL=BCL, case=DiffCase.CASE_11)
@@ -786,6 +805,70 @@ def _close(got, want, scale=1.0):
     return np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, scale))
 
 
+def _operators(prob):
+    """The (a, b, c) of each operator whose fundamental pair ``solve`` forms."""
+    if not prob.case.is_mixed:
+        return [(prob.a, prob.b, prob.c)]
+    c_eff = prob.effective_c(prob.case)
+    return [(prob.a, 0.0, c_eff), (prob.a, 0.0, -c_eff)]
+
+
+def _three_construction_pair(a, b, c):
+    """phi = psi' + (b/a)*psi as the derivative, the scaled psi and their sum,
+    three closed forms, written out over term tuples."""
+    psi = inverse_laplace(RationalFunction(Polynomial((a,)), Polynomial((c, b, a))))
+    scaled = ClosedForm(tuple((kind, k, (b / a) * coeff) for kind, k, coeff in psi.terms))
+    return ClosedForm(psi.differentiate().terms + scaled.terms), psi
+
+
+def _assert_pair_matches_three_constructions(a, b, c):
+    try:
+        want = _three_construction_pair(a, b, c)
+    except FuzzyBvpError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            laplace.fundamental_pair(a, b, c)
+        return
+    got = laplace.fundamental_pair(a, b, c)
+    for got_form, want_form in zip(got, want):
+        hexed = [[(kind, k.hex(), coeff.hex()) for kind, k, coeff in form.terms]
+                 for form in (got_form, want_form)]
+        assert hexed[0] == hexed[1]
+
+
+class TestFundamentalPair:
+    @settings(max_examples=300, deadline=None)
+    @given(prob=solvable_problems())
+    def test_matches_three_constructions(self, prob):
+        # one construction over psi' and (b/a)*psi merges the same terms in
+        # the same order; a +-0.0 the old path dropped adds exactly
+        for a, b, c in _operators(prob):
+            _assert_pair_matches_three_constructions(a, b, c)
+
+    @pytest.mark.parametrize("a, b, c", [(1.0, 0.0, -1.0), (1.0, 0.0, 1.0), (1.0, -3.0, 2.0)],
+                             ids=["wave-s", "wave-d", "homogeneous"])
+    def test_demo_operators_match_three_constructions(self, a, b, c):
+        _assert_pair_matches_three_constructions(a, b, c)
+
+    @pytest.mark.parametrize("prob, built", [
+        (wave_problem(DiffCase.CASE_11), 2), (wave_problem(DiffCase.CASE_22), 2),
+        (wave_problem(DiffCase.CASE_12), 4), (wave_problem(DiffCase.CASE_21), 4),
+        (homogeneous_problem(DiffCase.CASE_11), 2),
+    ], ids=["wave-11", "wave-22", "wave-12", "wave-21", "homogeneous-11"])
+    def test_two_closed_forms_per_operator(self, monkeypatch, prob, built):
+        # psi from the inversion and phi in one construction: no throw-away
+        # derivative, scaled or summed closed form
+        seen = []
+        post_init = ClosedForm.__post_init__
+
+        def counting(form):
+            seen.append(form)
+            post_init(form)
+
+        monkeypatch.setattr(ClosedForm, "__post_init__", counting)
+        solve(prob)
+        assert len(seen) == built
+
+
 class TestTwoPointKernel:
     @settings(max_examples=300, deadline=None)
     @given(prob=solvable_problems())
@@ -867,7 +950,7 @@ class TestTwoPointKernel:
             seen.append(f.denominator.coeffs)
             return inverse_laplace(f)
 
-        monkeypatch.setattr(solver, "inverse_laplace", counting)
+        monkeypatch.setattr(laplace, "inverse_laplace", counting)
         solve(wave_problem(case))
         assert len(seen) == calls
         if not case.is_mixed:

@@ -467,6 +467,22 @@ class TestFdOracle:
             fd_oracle(0.0, 0.0, -1.0, 1.0, 0.0, 1.0, 64)
 
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 0.0, -1.0, 0.0, 1.0, 2.0), "domain length must be positive"),
+        ((1.0, 0.0, -1.0, -1.0, 1.0, 2.0), "domain length must be positive"),
+        ((1.0, 0.0, -1.0, math.inf, 1.0, 2.0), "L must be finite"),
+        ((1.0, 0.0, -1.0, math.nan, 1.0, 2.0), "L must be finite"),
+        ((math.nan, 0.0, -1.0, 1.0, 1.0, 2.0), "a must be finite"),
+        ((1.0, math.inf, -1.0, 1.0, 1.0, 2.0), "b must be finite"),
+        ((1.0, 0.0, math.nan, 1.0, 1.0, 2.0), "c must be finite"),
+        ((1.0, 0.0, -1.0, 1.0, math.nan, 2.0), "boundary values must be finite"),
+        ((1.0, 0.0, -1.0, 1.0, [0.0, 1.0], [2.0, math.inf]), "boundary values must be finite"),
+    ], ids=["L-zero", "L-negative", "L-inf", "L-nan", "a-nan", "b-inf", "c-nan", "y0-nan", "yL-inf"])
+    def test_invalid_input_raises_value_error(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            fd_oracle(*args, 64)
+
+
 class TestFdOracleCoupled:
     def test_symmetric_data_reduces_to_scalar(self):
         # with v = w on the boundary the coupled pair collapses to
@@ -498,6 +514,20 @@ class TestFdOracleCoupled:
         assert np.max(np.abs(w[1:-1] - dense[m:])) <= 1e-10
         assert (v[0], w[0], v[-1], w[-1]) == (v0, w0, vL, wL)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.0, 1.0, 0.0, 1.0, 3.0, 4.0, 6.0), "domain length must be positive"),
+        ((1.0, 1.0, -1.0, 1.0, 3.0, 4.0, 6.0), "domain length must be positive"),
+        ((1.0, 1.0, math.inf, 1.0, 3.0, 4.0, 6.0), "L must be finite"),
+        ((math.nan, 1.0, 1.0, 1.0, 3.0, 4.0, 6.0), "a must be finite"),
+        ((1.0, math.nan, 1.0, 1.0, 3.0, 4.0, 6.0), "kappa must be finite"),
+        ((1.0, -math.inf, 1.0, 1.0, 3.0, 4.0, 6.0), "kappa must be finite"),
+        ((1.0, 1.0, 1.0, math.nan, 3.0, 4.0, 6.0), "boundary values must be finite"),
+        ((1.0, 1.0, 1.0, [1.0], [3.0], [4.0], [math.inf]), "boundary values must be finite"),
+    ], ids=["L-zero", "L-negative", "L-inf", "a-nan", "kappa-nan", "kappa-inf", "v0-nan", "wL-inf"])
+    def test_invalid_input_raises_value_error(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            fd_oracle_coupled(*args, 64)
+
     def test_matches_coupled_closed_form(self):
         sol = wave_solution(DiffCase.CASE_12)
         assert oracle_gap(sol, n=10_000) <= 1e-5
@@ -509,7 +539,24 @@ class TestFdOracleCoupled:
         assert all(3.5 <= ratio <= 4.5 for ratio in ratios), ratios
 
 
+def _scaled_data(prob: FuzzyBVP, power: int) -> FuzzyBVP:
+    """``prob`` with every boundary coefficient times 2**power, which is exact."""
+    def scaled(fn: FuzzyNumber) -> FuzzyNumber:
+        return FuzzyNumber(fn.lower.scaled(2.0 ** power), fn.upper.scaled(2.0 ** power))
+
+    return replace(prob, bc0=scaled(prob.bc0), bcL=scaled(prob.bcL))
+
+
 class TestOracleGap:
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.tag)
+    def test_gap_scales_exactly_with_the_data(self, case):
+        # the stencil weight scales the unit-end solutions before the data
+        # do, so data near 2**1000 neither overflow nor round differently
+        prob = wave_problem(case)
+        want = math.ldexp(oracle_gap(solve(prob)), 1000)
+        assert math.isfinite(want)
+        assert oracle_gap(solve(_scaled_data(prob, 1000))) == want
+
     def test_uncoupled_gap_small(self):
         assert oracle_gap(wave_solution(), n=10_000) <= 1e-5
 
