@@ -1,5 +1,8 @@
 """The level-set verdict per differentiability case, residual measurement,
-and an independent finite-difference oracle for crisp cross-checks.
+and an independent finite-difference oracle for crisp cross-checks. The
+oracle's grid values come in closed form from the roots of its stencil's
+characteristic quadratic, as the paper's solution comes from the roots of
+a*p**2 + b*p + c, so no Python loop runs over grid points.
 
 A solution envelope is a valid level set when, at every point of the
 domain, the lower branch is non-decreasing in the membership level r, the
@@ -171,30 +174,56 @@ def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> li
     return results
 
 
-def _end_solutions(sub: float, diag: float, sup: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """u = T^-1 e_1 and v = T^-1 e_m for the m-by-m tridiagonal T = (sub, diag, sup).
+def _log_abs_1p(t: float) -> tuple[float, float]:
+    """(log|1 + t|, sign of 1 + t), from log1p on both sides of t = -1."""
+    if t == -1.0:
+        return -math.inf, 1.0
+    return (math.log1p(t), 1.0) if t > -1.0 else (math.log1p(-2.0 - t), -1.0)
 
-    The pivots p_1 = diag, p_i = diag - sub*sup/p_{i-1} are formed in Python
-    floats, with zero-pivot detection. v is the back sweep of e_m, the
-    running product v_m = 1/p_m, v_i = -(sup/p_i)*v_{i+1}. Reversing the
-    unknowns swaps sub and sup and keeps the pivots (they depend on sub*sup
-    only), so u is the mirror product u_1 = 1/p_m, u_{j+1} = -(sub/p_{m-j})*u_j.
+
+def _end_solutions(sub: float, diag: float, sup: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """U and V at j = 1..n-1: the stencil's solutions for y_0 = 1, y_n = 0 and y_0 = 0, y_n = 1.
+
+    With mu_1, mu_2 the roots of sup*mu**2 + diag*mu + sub = 0, |mu_2| <= |mu_1|,
+    rho = mu_2/mu_1 and E(k) = 1 - rho**k, U_j = mu_2**j*E(n-j)/E(n) and
+    V_j = mu_1**(j-n)*E(j)/E(n): each mode is anchored at the end where it is
+    largest. A complex pair r*exp(+-i*theta) has E(k) = sin(k*theta) and a
+    double root E(k) = k. If sub*sup/diag**2 <= 2**-100, a root is ~0 or ~inf
+    and each end keeps one mode. mu = 1 + t, with the t-quadratic's
+    coefficients summed exactly: sub + diag + sup can cancel terms of size
+    a*n**2/L**2. Elimination in order meets the pivots
+    p_i = lambda_1*E(i+1)/E(i), lambda = -sup*mu; one at or below 1e-13
+    times the stencil's scale raises ``EigenvalueDegeneracyError``.
     """
-    scale = max(abs(sub), abs(diag), abs(sup), 1.0)
-    pivots = []
-    pivot = diag
-    for i in range(m):
-        if i:
-            pivot = diag - sub * (sup / pivot)
-        if abs(pivot) <= 1e-13 * scale:
-            raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
-        pivots.append(pivot)
-    # row 0 is u's factors, row 1 v's from its far end
-    steps = np.empty((2, m))
-    steps[:, 0] = 1.0 / pivots[-1]
-    steps[:, 1:] = np.divide.outer((-sub, -sup), pivots[-2::-1])
-    u, v = np.multiply.accumulate(steps, axis=1)
-    return u, v[::-1]
+    tol = 1e-13 * max(abs(sub), abs(diag), abs(sup), 1.0)
+    if abs(diag) <= tol:  # the first pivot
+        raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
+    j = np.arange(1, n)
+    if abs((sub / diag) * (sup / diag)) <= 2.0**-100:
+        return (-sub / diag) ** j, (-sup / diag) ** (n - j)
+    half = math.fsum((sup, sup, diag)) / (2.0 * sup)  # t**2 + 2*half*t + prod = 0
+    prod = math.fsum((sub, diag, sup)) / sup
+    disc = half * half - prod
+    k = np.arange(1, n + 1)
+    if disc < 0.0:
+        l1 = l2 = 0.5 * math.log1p((sub - sup) / sup)  # r**2 = sub/sup; sub - sup is exact
+        s1 = s2 = 1.0
+        E = np.sin(k * math.atan2(math.sqrt(-disc), 1.0 - half))
+    else:
+        q = -(half + math.copysign(math.sqrt(disc), half))
+        (l2, s2), (l1, s1) = sorted(map(_log_abs_1p, (q, prod / q) if q else (0.0, 0.0)))
+        E = -np.expm1(k * (l2 - l1)) if l2 < l1 or s1 != s2 else k.astype(float)
+        if s1 != s2:
+            E[::2] = 2.0 - E[::2]  # odd k: 1 + |rho|**k
+    if np.any(abs(sup) * math.exp(l1) * np.abs(E[1:]) <= tol * np.abs(E[:-1])):
+        raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
+    U = np.exp(j * l2) * E[-2::-1] / E[-1]
+    V = np.exp((j - n) * l1) * E[:-1] / E[-1]
+    if s2 < 0.0:
+        U[::2] *= -1.0
+    if s1 < 0.0:
+        V[n % 2 :: 2] *= -1.0
+    return U, V
 
 
 def _require_finite(**values) -> None:
@@ -222,12 +251,12 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     ``y0`` and ``yL`` are two scalars, or two 1-D sequences of equal length
     holding one boundary pair per column. Returns the n+1 grid values
     including both boundaries, with shape (n+1,) for scalars and (n+1, k)
-    for k pairs. A column's interior is (-sub*u)*y0 + (-sup*v)*yL, with u
-    and v the stencil's solutions for a unit value at the left and the right
-    end (``_end_solutions``), shared by all columns; so a column has the same
-    bits alone as with others, and a scalar call equals a one-column call.
-    The stencil weight scales u and v before the data do, so data near the
-    overflow edge are not first multiplied by sub ~ a*n^2/L^2. Non-finite
+    for k pairs. A column's interior is U*y0 + V*yL, with U and V the
+    stencil's solutions for a unit value at the left and the right end, in
+    closed form (``_end_solutions``) and shared by all columns; so a column
+    has the same bits alone as with others, and a scalar call equals a
+    one-column call. The stencil weight is inside U and V, so data near the
+    overflow edge never meet sub ~ a*n^2/L^2 on their own. Non-finite
     coefficients, L or boundary values and a non-positive L raise
     ``ValueError``. Accuracy is O((L/n)^2); this is the independent check
     for the closed-form pipeline and shares none of its machinery.
@@ -244,12 +273,12 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     sub = a / h**2 - b / (2.0 * h)
     diag = c - 2.0 * a / h**2
     sup = a / h**2 + b / (2.0 * h)
-    u, v = _end_solutions(sub, diag, sup, n - 1)
+    U, V = _end_solutions(sub, diag, sup, n)
     out = np.empty((n + 1, y0.size))
     out[0] = y0
     out[-1] = yL
-    np.multiply.outer(-sub * u, y0.ravel(), out=out[1:-1])
-    out[1:-1] += np.multiply.outer(-sup * v, yL.ravel())
+    np.multiply.outer(U, y0.ravel(), out=out[1:-1])
+    out[1:-1] += np.multiply.outer(V, yL.ravel())
     return out if y0.ndim else out[:, 0]
 
 
@@ -258,20 +287,23 @@ def fd_oracle_coupled(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference solve of the coupled pair a*v'' = kappa*w, a*w'' = kappa*v.
 
-    The sum s = v + w solves a*s'' - kappa*s = 0 and the difference
-    d = v - w solves a*d'' + kappa*d = 0. The three-point stencil commutes
-    with this change of variables, so two scalar solves recombined as
-    v = (s + d)/2, w = (s - d)/2 are the coupled scheme's solution. The
+    The half-sum s = (v + w)/2 solves a*s'' - kappa*s = 0 and the
+    half-difference d = (v - w)/2 solves a*d'' + kappa*d = 0. The
+    three-point stencil commutes with this change of variables, so two
+    scalar solves recombined as v = s + d, w = s - d are the coupled
+    scheme's solution. The data are halved before they are summed, so
+    finite data near the overflow edge stay finite; away from subnormals
+    halving is exact, and the bits are those of halving after the solve. The
     boundary values follow ``fd_oracle``'s rule: scalars or equal-length
     sequences, one column per boundary set, so each of the two matrices
     gets its two end solutions once however many columns there are.
     Invalid input raises ``ValueError`` as in ``fd_oracle``.
     """
     _require_finite(kappa=kappa)
-    v0, w0, vL, wL = _boundary_arrays(v0, w0, vL, wL)
+    v0, w0, vL, wL = (x / 2.0 for x in _boundary_arrays(v0, w0, vL, wL))
     s = fd_oracle(a, 0.0, -kappa, L, v0 + w0, vL + wL, n)
     d = fd_oracle(a, 0.0, kappa, L, v0 - w0, vL - wL, n)
-    return (s + d) / 2.0, (s - d) / 2.0
+    return s + d, s - d
 
 
 def oracle_gap(sol: FuzzySolution, n: int = 10_000, r_values=(0.0, 0.5, 1.0)) -> float:

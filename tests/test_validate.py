@@ -1,8 +1,10 @@
 """Level-set checks, residual measurement, and the finite-difference oracle."""
 
 import math
+import warnings
 from dataclasses import fields, replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -514,6 +516,21 @@ class TestFdOracleCoupled:
         assert np.max(np.abs(w[1:-1] - dense[m:])) <= 1e-10
         assert (v[0], w[0], v[-1], w[-1]) == (v0, w0, vL, wL)
 
+    def test_data_near_the_overflow_edge_stay_finite(self):
+        # the data are halved before they are summed into s and d
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v, w = fd_oracle_coupled(1.0, 1.0, 1.0, 1e308, 1e308, 0.0, 0.0, 64)
+        assert np.all(np.isfinite(v)) and np.all(np.isfinite(w))
+        assert (v[0], w[0]) == (1e308, 1e308)
+
+    def test_scales_exactly_with_the_data(self):
+        data = (1.0, 3.0, 4.0, 6.0)
+        v, w = fd_oracle_coupled(1.5, 2.0, 1.3, *data, 64)
+        big = fd_oracle_coupled(1.5, 2.0, 1.3, *(math.ldexp(x, 1000) for x in data), 64)
+        assert np.array_equal(big[0], np.ldexp(v, 1000))
+        assert np.array_equal(big[1], np.ldexp(w, 1000))
+
     @pytest.mark.parametrize("args, message", [
         ((1.0, 1.0, 0.0, 1.0, 3.0, 4.0, 6.0), "domain length must be positive"),
         ((1.0, 1.0, -1.0, 1.0, 3.0, 4.0, 6.0), "domain length must be positive"),
@@ -652,6 +669,10 @@ class TestFdOracleColumns:
         pairs=st.lists(st.tuples(_boundary, _boundary), min_size=1, max_size=5),
     )
     @example(a=1.0, b=0.0, c=0.0, L=1.0, n=77, pairs=[(2.2250738585e-313, 0.0)])
+    @example(a=1.0, b=-32.0, c=3.0, L=1.0, n=16, pairs=[(1.0, 2.0)])  # sup = 0
+    @example(a=1.0, b=32.0, c=3.0, L=1.0, n=16, pairs=[(1.0, 2.0)])  # sub = 0
+    @example(a=1.0, b=3.0, c=50.0, L=5.0, n=16, pairs=[(1.0, 2.0)])  # two negative roots
+    @example(a=1.0, b=31.999999999999996, c=3.0, L=1.0, n=16, pairs=[(1.0, 2.0)])  # 1 + t rounds to 0
     def test_matches_per_column_solve(self, a, b, c, L, n, pairs):
         y0 = [p[0] for p in pairs]
         yL = [p[1] for p in pairs]
@@ -692,6 +713,52 @@ class TestFdOracleColumns:
         for y0, yL in (([1.0, 2.0], [1.0, 3.0]), ([], [])):
             with pytest.raises(EigenvalueDegeneracyError):
                 fd_oracle(a, 0.0, c, L, y0, yL, n)
+
+
+def _exact_end_solutions(a, b, c, L, n, js):
+    """U_j and V_j, the solutions for unit data at the left and at the right
+    end, of the same rounded stencil at the indices ``js``, in 40 digits."""
+    with mpmath.workdps(40):
+        sub, diag, sup = (mpmath.mpf(x) for x in _stencil(a, b, c, L, n))
+        root = mpmath.sqrt(diag**2 - 4 * sub * sup)  # imaginary for an oscillatory stencil
+        mu1, mu2 = (-diag + root) / (2 * sup), (-diag - root) / (2 * sup)
+        den = mu1**n - mu2**n
+        U = [float(mpmath.re((mu2**j * mu1**n - mu1**j * mu2**n) / den)) for j in js]
+        V = [float(mpmath.re((mu1**j - mu2**j) / den)) for j in js]
+    return np.column_stack((U, V))
+
+
+class TestFdOracleEndSolutions:
+    """The columns of unit data at one end, which every other column combines."""
+
+    @pytest.mark.parametrize("a, b, c, L", [
+        (1.0, 0.0, -1.0, 1.0),
+        (1.0, 0.0, 1.0, 1.0),
+        (1.0, -3.0, 2.0, 1.0),
+        # sub + diag + sup rounds for this stencil; its exact sum does not
+        (1.51, 11.9, -4.7, 3.0),
+        # a*d'' + kappa*d = 0, the difference stencil of fd_oracle_coupled
+        (0.5, 0.0, 7.3, 2.0),
+    ], ids=["cosh", "cos", "exp", "exp-rounded-sum", "mixed-difference"])
+    def test_match_exact_solution_of_the_stencil(self, a, b, c, L):
+        # log(1 + t) in place of log1p(t) is off by ~5e-14 here, and a
+        # sequential elimination by 3e-12 to 1e-11
+        n = 10_000
+        js = np.unique(np.linspace(1, n - 1, 100).astype(int))
+        got = fd_oracle(a, b, c, L, [1.0, 0.0], [0.0, 1.0], n)[js]
+        want = _exact_end_solutions(a, b, c, L, n, js.tolist())
+        assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-14 * np.max(np.abs(want), axis=0))
+
+    def test_long_hyperbolic_domain_stays_finite(self):
+        # sinh(j*k)/sinh(n*k) overflows here; each mode anchored at the end
+        # where it is largest does not
+        args = (1.0, 0.0, -1.0, 1000.0, 1.0, 2.0, 10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fd_oracle(*args)
+        want = _fd_oracle_per_column(*args)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
 class TestOracleGapColumns:
