@@ -3,12 +3,14 @@
 Problem files are plain-text sections of ``key = value`` lines; see the
 README for the grammar. The tool writes three artifacts per run: a
 human-readable solution summary, one CSV of envelope samples per solved
-case, and a validity report block per requested case.
+case, and a validity report block per requested case. Each case comes from
+``check_case`` or ``enumerate_cases``, which also run ``--oracle``'s check.
 
 Exit codes: 0 when at least one requested case produced a solution,
-1 when every requested case failed, 2 when the file cannot be read (missing,
-or not UTF-8) or parsed or the output directory cannot be written, 3 on an
-unexpected internal error (reported as one ``error: internal:`` line).
+1 when every requested case failed (under ``--oracle``, an oracle refusal
+fails its case), 2 when the file cannot be read (missing, or not UTF-8) or
+parsed or the output directory cannot be written, 3 on an unexpected
+internal error (reported as one ``error: internal:`` line).
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ import numpy as np
 from .errors import InvalidFuzzyNumberError, ProblemFormatError
 from .fuzzy import FuzzyNumber, RFun, triangular
 from .laplace import evaluate_grids
-from .solver import DiffCase, FuzzyBVP
-from .validate import CaseResult, check_case, enumerate_cases, oracle_gap
+from .solver import ALL_CASES, DiffCase, FuzzyBVP
+from .validate import CaseResult, check_case, enumerate_cases
 
-CASE_CHOICES = ("11", "22", "12", "21", "all")
+CASE_CHOICES = (*(case.tag for case in ALL_CASES), "all")
 
 _SECTIONS = {
     "ode": {"a", "b", "c"},
@@ -202,22 +204,8 @@ def parse_problem_file(path) -> ProblemSpec:
 def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
     grid = (spec.x_samples, spec.r_levels)
     if spec.case_request == "all":
-        results = enumerate_cases(spec.problem, *grid)
-    else:
-        results = [check_case(spec.problem, DiffCase(spec.case_request), *grid)]
-    if not oracle:
-        return results
-    # twins share their envelopes, so one oracle run per family serves both
-    gaps: dict[bool, float] = {}
-    for res in results:
-        if res.solved and res.case.is_mixed not in gaps:
-            gaps[res.case.is_mixed] = oracle_gap(res.solution)
-    return [
-        replace(res, report=replace(res.report, oracle_max_gap=gaps[res.case.is_mixed]))
-        if res.solved
-        else res
-        for res in results
-    ]
+        return enumerate_cases(spec.problem, *grid, oracle=oracle)
+    return [check_case(spec.problem, DiffCase(spec.case_request), *grid, oracle=oracle)]
 
 
 def _write_csv(path: Path, sol, x_samples: int, r_levels: int) -> None:

@@ -74,7 +74,7 @@ class DiffCase(enum.Enum):
 _FLIP_TYPES = str.maketrans("12", "21")
 
 
-ALL_CASES = (DiffCase.CASE_11, DiffCase.CASE_22, DiffCase.CASE_12, DiffCase.CASE_21)
+ALL_CASES = tuple(DiffCase)  # 11, 22, 12, 21: the enum order
 
 
 @dataclass(frozen=True)

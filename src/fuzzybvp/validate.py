@@ -15,9 +15,10 @@ the r-grid decides the r-conditions exactly; in x the verdict is sampled.
 
 Solutions violating the conditions are reported, not rejected: which
 differentiability case produces a valid level set is exactly what a caller
-wants to inspect. ``check_case`` solves one case and checks it, turning a
-refusal into a value, and ``enumerate_cases`` runs it once per family of
-twin cases (11/22 and 12/21) and relabels the result for the twin.
+wants to inspect. ``check_case`` solves one case, checks it and, when
+asked, measures its ``oracle_gap``, turning a refusal at any of these steps
+into a value; ``enumerate_cases`` runs it once per family of twin cases
+(11/22 and 12/21) and relabels the result for the twin.
 """
 
 from __future__ import annotations
@@ -145,30 +146,35 @@ class CaseResult:
 
 
 def check_case(
-    prob: FuzzyBVP, case: DiffCase, x_count: int = 101, r_count: int = 11
+    prob: FuzzyBVP, case: DiffCase, x_count: int = 101, r_count: int = 11, *, oracle: bool = False
 ) -> CaseResult:
-    """Solve ``prob`` under ``case`` and check the solution; a refusal becomes a value."""
+    """Solve ``prob`` under ``case``, check the solution and, with ``oracle``, put
+    ``oracle_gap(sol)`` in its report; a refusal at any of the three becomes a value."""
     try:
         sol = solve(replace(prob, case=case))
         report = check_level_set(sol, x_count, r_count)
+        if oracle:
+            report = replace(report, oracle_max_gap=oracle_gap(sol))
     except FuzzyBvpError as exc:
         return CaseResult(case, None, f"{type(exc).__name__}: {exc}", None)
     return CaseResult(case, sol, None, report)
 
 
-def enumerate_cases(prob: FuzzyBVP, x_count: int = 101, r_count: int = 11) -> list[CaseResult]:
+def enumerate_cases(
+    prob: FuzzyBVP, x_count: int = 101, r_count: int = 11, *, oracle: bool = False
+) -> list[CaseResult]:
     """Run all four cases and attach validity reports; failures become values.
 
     The level-set criterion decides which differentiability case yields a
     usable solution, so callers typically want all four side by side. Each
-    family is solved and checked once: 22 gets the envelopes of 11 with F1
-    and F2 swapped and 21 the solution of 12 (``FuzzySolution.as_case``),
-    and each twin shares the report, or the error text, of its family.
-    The results come in ``ALL_CASES`` order.
+    family is solved, checked and (with ``oracle``) cross-checked once: 22
+    gets the envelopes of 11 with F1 and F2 swapped and 21 the solution of
+    12 (``FuzzySolution.as_case``), and each twin shares the report, or the
+    error text, of its family. The results come in ``ALL_CASES`` order.
     """
     results = []
     for case in (DiffCase.CASE_11, DiffCase.CASE_12):
-        res = check_case(prob, case, x_count, r_count)
+        res = check_case(prob, case, x_count, r_count, oracle=oracle)
         twin = res.solution.as_case(case.twin) if res.solved else None
         results += [res, replace(res, case=case.twin, solution=twin)]
     return results
@@ -196,8 +202,10 @@ def _end_solutions(sub: float, diag: float, sup: float, n: int) -> tuple[np.ndar
     times the stencil's scale raises ``EigenvalueDegeneracyError``.
     """
     tol = 1e-13 * max(abs(sub), abs(diag), abs(sup), 1.0)
+    refusal = (f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = "
+               f"({sub}, {diag}, {sup}): singular tridiagonal system (zero pivot)")
     if abs(diag) <= tol:  # the first pivot
-        raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
+        raise EigenvalueDegeneracyError(refusal)
     j = np.arange(1, n)
     if abs((sub / diag) * (sup / diag)) <= 2.0**-100:
         return (-sub / diag) ** j, (-sup / diag) ** (n - j)
@@ -216,7 +224,7 @@ def _end_solutions(sub: float, diag: float, sup: float, n: int) -> tuple[np.ndar
         if s1 != s2:
             E[::2] = 2.0 - E[::2]  # odd k: 1 + |rho|**k
     if np.any(abs(sup) * math.exp(l1) * np.abs(E[1:]) <= tol * np.abs(E[:-1])):
-        raise EigenvalueDegeneracyError("singular tridiagonal system (zero pivot)")
+        raise EigenvalueDegeneracyError(refusal)
     U = np.exp(j * l2) * E[-2::-1] / E[-1]
     V = np.exp((j - n) * l1) * E[:-1] / E[-1]
     if s2 < 0.0:

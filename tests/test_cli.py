@@ -533,17 +533,53 @@ class TestAllCasesMatchSingleCaseRuns:
 
     def test_oracle_runs_once_per_family(self, tmp_path, monkeypatch):
         seen = []
+        oracle_gap = validate.oracle_gap
 
         def counting(sol, *args, **kwargs):
             seen.append(sol.case)
-            return validate.oracle_gap(sol, *args, **kwargs)
+            return oracle_gap(sol, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "oracle_gap", counting)
+        monkeypatch.setattr(validate, "oracle_gap", counting)
         out = tmp_path / "out"
         assert main([str(DEMO_PROBLEMS / "wave.problem"), "--case", "all", "--oracle", "--out", str(out)]) == 0
         assert seen == [DiffCase.CASE_11, DiffCase.CASE_12]
         gaps = [l for l in (out / "report.txt").read_text().splitlines() if l.startswith("oracle_max_gap")]
         assert len(gaps) == 4 and gaps[0] == gaps[1] and gaps[2] == gaps[3]
+
+
+# At n = 10^4 the oracle's stencil diagonal 200000000 - 2/h**2 is exactly 0 and
+# the stencil has 9999 interior points, so it is singular; the closed form solves.
+SINGULAR_ORACLE = (DEMO_PROBLEMS / "wave.problem").read_text().replace("\nc = -1\n", "\nc = 200000000\n")
+
+
+class TestOracleRefusal:
+    """Under --oracle an oracle refusal fails its case: exit 1, never exit 3."""
+
+    @pytest.fixture
+    def problem(self, tmp_path):
+        path = tmp_path / "singular.problem"
+        path.write_text(SINGULAR_ORACLE)
+        return str(path)
+
+    def test_single_case_fails(self, tmp_path, capsys, problem):
+        out = tmp_path / "out"
+        assert main([problem, "--case", "11", "--oracle", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("case 11 failed: EigenvalueDegeneracyError: ")
+        assert "finite-difference oracle at n = 10000" in err[0]
+        report = (out / "report.txt").read_text()
+        assert "solved = false\nerror = EigenvalueDegeneracyError: " in report
+        assert not (out / "case_11.csv").exists()
+
+    def test_all_cases_fail(self, tmp_path, capsys, problem):
+        assert main([problem, "--oracle", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line[:15] for line in err] == [f"case {tag} failed:" for tag in ("11", "22", "12", "21")]
+        assert not any(line.startswith("error: internal") for line in err)
+
+    def test_solves_without_oracle(self, tmp_path, capsys, problem):
+        assert main([problem, "--case", "11", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestInternalError:

@@ -397,6 +397,55 @@ class TestOneSolvePerFamily:
             s11.as_case(DiffCase.CASE_12)
 
 
+DEMO_PROBLEMS = [wave_problem(case=None), homogeneous_problem(case=None)]
+
+
+class TestOracleInCheckCase:
+    """check_case(..., oracle=True) is check_case with the gap in its report."""
+
+    @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.tag)
+    @pytest.mark.parametrize("prob", DEMO_PROBLEMS, ids=["wave", "homogeneous"])
+    def test_equals_check_then_gap(self, prob, case):
+        got = check_case(prob, case, oracle=True)
+        want = check_case(prob, case)
+        if want.solved:
+            want = replace(want, report=replace(want.report, oracle_max_gap=oracle_gap(want.solution)))
+            assert got.report.oracle_max_gap is not None
+        _assert_same_result(got, want)
+
+    @pytest.mark.parametrize("prob", DEMO_PROBLEMS, ids=["both-families-solve", "mixed-refused"])
+    def test_one_gap_per_family(self, monkeypatch, prob):
+        seen = []
+        original = validate.oracle_gap
+
+        def counting(sol, *args, **kwargs):
+            seen.append(sol.case)
+            return original(sol, *args, **kwargs)
+
+        monkeypatch.setattr(validate, "oracle_gap", counting)
+        results = enumerate_cases(prob, oracle=True)
+        assert seen == [r.case for r in results[::2] if r.solved]
+        for res, twin in zip(results[::2], results[1::2]):
+            assert res.solved == twin.solved
+            if res.solved:
+                assert res.report.oracle_max_gap == twin.report.oracle_max_gap is not None
+
+    def test_oracle_refusal_fails_the_case(self):
+        # at n = 10^4 the stencil diagonal c - 2a/h**2 is exactly 0, and the
+        # stencil has an odd number of interior points, so it is singular
+        prob = wave_problem(case=None, energy=-2e8)
+        assert check_case(prob, DiffCase.CASE_11).solved
+        results = enumerate_cases(prob, oracle=True)
+        for res in results[:2]:
+            assert not res.solved and res.report is None
+            assert res.error == (
+                "EigenvalueDegeneracyError: finite-difference oracle at n = 10000, stencil "
+                "(sub, diag, sup) = (100000000.0, 0.0, 100000000.0): "
+                "singular tridiagonal system (zero pivot)"
+            )
+        assert all(r.error.startswith("CaseInapplicableError: ") for r in results[2:])
+
+
 class TestResiduals:
     def test_solver_output_residual_is_tiny(self):
         sol = wave_solution()
