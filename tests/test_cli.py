@@ -93,6 +93,26 @@ AMBIGUOUS = {
     ),
 }
 
+WAVE_DEMO = (DEMO_PROBLEMS / "wave.problem").read_text()
+
+# One edit each to the wave demo, and the error the parser names it with.
+MALFORMED = {
+    "open-header": (("[ode]\n", "[ode\n"), "line 4: malformed section header '[ode'"),
+    "no-equals": (("b = 0\n", "b 0\n"), "line 6: expected 'key = value', got 'b 0'"),
+    "key-before-section": (
+        (WAVE_DEMO.splitlines(keepends=True)[0], "a = 1\n"),
+        "line 1: key outside any section: 'a = 1'",
+    ),
+    "bad-integer": (("r_levels = 11", "r_levels = two"), "line 24: invalid integer for 'r_levels': 'two'"),
+    "short-branch": (
+        ("lower = 1 1\n", "lower = 1\n"), "line 13: 'lower' needs 2 space-separated numbers, got '1'"
+    ),
+    "bad-branch-number": (("lower = 1 1\n", "lower = 1 x\n"), "line 13: invalid number in 'lower': '1 x'"),
+    "missing-branch": (
+        ("upper = 3 -1\n", ""), "section [bc0] needs either 'triangular' or both 'lower' and 'upper'"
+    ),
+}
+
 
 class TestParsing:
     def test_parses_wave_problem(self):
@@ -153,6 +173,20 @@ class TestParsing:
         problem.write_text(text)
         assert run(problem, out_dir=tmp_path / "out") == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_demo_file_rejected(self, tmp_path, capsys, edit, message):
+        assert WAVE_DEMO.count(edit[0]) == 1
+        text = WAVE_DEMO.replace(*edit)
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem_text(text)
+        assert str(info.value) == message
+        problem = tmp_path / "wave.problem"
+        problem.write_text(text)
+        out = tmp_path / "out"
+        assert run(problem, out_dir=out) == 2
+        assert capsys.readouterr().err == f"error: {problem}: {message}\n"
+        assert not list(out.glob("case_*.csv"))
 
     def test_value_error_reported_after_every_field_parses(self):
         # L = -1 fails only when the problem is built; r_levels = 1 fails
@@ -239,6 +273,15 @@ class TestRun:
         report = (out / "report.txt").read_text()
         gap_line = next(l for l in report.splitlines() if l.startswith("oracle_max_gap"))
         assert float(gap_line.split("=")[1]) <= 1e-5
+
+    def test_zero_root_labelled_const(self, tmp_path):
+        # y'' + y' = 0 has roots 0 and -1: every envelope has a constant term
+        problem = tmp_path / "problem.txt"
+        problem.write_text(WAVE_PROBLEM.replace("b = 0\n", "b = 1\n").replace("c = -1\n", "c = 0\n"))
+        out = tmp_path / "out"
+        assert run(problem, out_dir=out) == 0
+        summary = (out / "summary.txt").read_text()
+        assert summary.count("    const: r=0: ") == 4  # lower and upper of cases 11 and 22
 
     def test_csv_deterministic(self, tmp_path):
         problem = tmp_path / "problem.txt"

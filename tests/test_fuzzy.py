@@ -55,6 +55,10 @@ class TestConstruction:
         with pytest.raises(InvalidFuzzyNumberError, match="finite"):
             FuzzyNumber(lower, upper)
 
+    def test_rejects_increasing_upper_branch(self):
+        with pytest.raises(InvalidFuzzyNumberError, match=r"^upper branch increases in r \(slope 0.5\)$"):
+            FuzzyNumber(RFun(0.0), RFun(1.0, 0.5))
+
 
 class TestTriangular:
     def test_symmetric_unit(self):

@@ -37,6 +37,7 @@ class TestPolynomial:
     def test_trims_trailing_zeros(self):
         assert Polynomial((1.0, 2.0, 0.0, 0.0)).coeffs == (1.0, 2.0)
         assert Polynomial((0.0, 0.0)).is_zero
+        assert Polynomial(()).coeffs == (0.0,)
 
     def test_degree_and_evaluate(self):
         p = Polynomial((2.0, -3.0, 1.0))
@@ -50,6 +51,7 @@ class TestPolynomial:
         assert (p * q).coeffs == (-1.0, 0.0, 1.0)
         assert (p + q).coeffs == (0.0, 2.0)
         assert p.derivative().coeffs == (1.0,)
+        assert Polynomial((3.0,)).derivative().coeffs == (0.0,)
 
     def test_rational_rejects_improper(self):
         with pytest.raises(ValueError):
@@ -83,6 +85,22 @@ class TestRoots:
         # independent cross-check with numpy's companion-matrix roots
         np_roots = sorted(np.roots([1, 0, 0, 0, -k ** 4]), key=lambda z: (z.real, z.imag))
         assert got == pytest.approx(np_roots, abs=1e-9)
+
+    def test_biquadratic_with_complex_squares(self):
+        # p^4 + 1: p^2 = +-i, so each square root takes the complex branch
+        got = roots(Polynomial((1.0, 0.0, 0.0, 0.0, 1.0)))
+        h = math.sqrt(0.5)
+        want = [complex(-h, -h), complex(-h, h), complex(h, -h), complex(h, h)]
+        assert got == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [((0.0,), "zero polynomial has no well-defined roots"), ((2.5,), "constant polynomial has no roots")],
+        ids=["zero", "constant"],
+    )
+    def test_polynomial_without_roots_raises(self, coeffs, message):
+        with pytest.raises(ValueError, match=message):
+            roots(Polynomial(coeffs))
 
     def test_cubic_with_zero_root(self):
         k = 2.0
@@ -221,6 +239,12 @@ class TestPartialFractions:
 
 
 class TestInverseLaplace:
+    def test_non_finite_residue_refused(self):
+        # the roots +-2 are finite; the residue (1e308 + 2e308)/4 is not
+        f = RationalFunction(Polynomial((1e308, 1e308)), Polynomial((-4.0, 0.0, 1.0)))
+        with pytest.raises(UnsupportedProblemError, match="^non-finite root or residue"):
+            inverse_laplace(f)
+
     def test_cosh_entry(self):
         k = 1.2
         f = RationalFunction(Polynomial((0.0, 1.0)), Polynomial((-k * k, 0.0, 1.0)))

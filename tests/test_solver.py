@@ -200,7 +200,7 @@ class TestSolveUncoupled:
         sol = solve(prob)
         kinds = {kind for kind, _, _ in sol.lower.terms}
         assert kinds == {TermKind.COS, TermKind.SIN}
-        assert oracle_gap(sol, n=10_000) <= 1e-5
+        assert oracle_gap(sol) <= 1e-5
 
     def test_asymmetric_real_roots_stay_exponential(self):
         # y'' - y' - 2y = 0 has roots 2 and -1: not a +/- pair, no cosh/sinh
@@ -211,7 +211,7 @@ class TestSolveUncoupled:
         assert {(kind, k) for kind, k, _ in sol.lower.terms} == {
             (TermKind.EXP, -1.0), (TermKind.EXP, 2.0)
         }
-        assert oracle_gap(sol, n=10_000) <= 1e-5
+        assert oracle_gap(sol) <= 1e-5
 
     def test_resonant_length_raises(self):
         # u'' + pi^2 u = 0 on [0, 1]: sin(pi x) vanishes at the far boundary

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fuzzybvp import (
@@ -35,7 +35,7 @@ from fuzzybvp import (
 from fuzzybvp import validate
 from fuzzybvp.laplace import evaluate_grids
 from conftest import per_point
-from test_solver import NEAR_OVERFLOW, homogeneous_problem, wave_problem
+from test_solver import NEAR_OVERFLOW, homogeneous_problem, solvable_problems, wave_problem
 
 BC0 = FuzzyNumber(RFun(1, 1), RFun(3, -1))
 BCL = FuzzyNumber(RFun(4, 1), RFun(6, -1))
@@ -596,11 +596,22 @@ class TestFdOracleCoupled:
 
     def test_matches_coupled_closed_form(self):
         sol = wave_solution(DiffCase.CASE_12)
-        assert oracle_gap(sol, n=10_000) <= 1e-5
+        assert oracle_gap(sol) <= 1e-5
 
     def test_second_order_convergence_against_closed_form(self):
+        # the closed form is the scheme's O(h**2) limit: halving h quarters the gap
         sol = wave_solution(DiffCase.CASE_12)
-        gaps = [oracle_gap(sol, n=n, r_values=(0.0,)) for n in (128, 256, 512)]
+        prob = sol.problem
+        kappa = -prob.effective_c(sol.case)
+        data = (prob.bc0.lower(0.0), prob.bc0.upper(0.0), prob.bcL.lower(0.0), prob.bcL.upper(0.0))
+        gaps = []
+        for n in (128, 256, 512):
+            xs = np.linspace(0.0, prob.L, n + 1)
+            v, w = fd_oracle_coupled(prob.a, kappa, prob.L, *data, n)
+            gaps.append(max(
+                np.max(np.abs(v - sol.lower.evaluate(xs, 0.0))),
+                np.max(np.abs(w - sol.upper.evaluate(xs, 0.0))),
+            ))
         ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
         assert all(3.5 <= ratio <= 4.5 for ratio in ratios), ratios
 
@@ -624,14 +635,14 @@ class TestOracleGap:
         assert oracle_gap(solve(_scaled_data(prob, 1000))) == want
 
     def test_uncoupled_gap_small(self):
-        assert oracle_gap(wave_solution(), n=10_000) <= 1e-5
+        assert oracle_gap(wave_solution()) <= 1e-5
 
     def test_gap_detects_wrong_solution(self):
         sol = wave_solution()
         kind, k, coeff = sol.lower.terms[0]
         bumped = (kind, k, RFun(coeff.c0 + 0.5, coeff.c1))
         bad = replace(sol, lower=RClosedForm((bumped,) + sol.lower.terms[1:]))
-        assert oracle_gap(bad, n=1000) > 1e-2
+        assert oracle_gap(bad) > 1e-2
 
 
 def _thomas_per_column(sub, diag, sup, rhs):
@@ -763,6 +774,38 @@ class TestFdOracleColumns:
             with pytest.raises(EigenvalueDegeneracyError):
                 fd_oracle(a, 0.0, c, L, y0, yL, n)
 
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_lowest_eigenvalue_stencil_raises(self, n):
+        # c at the stencil's lowest discrete eigenvalue: the diagonal is far
+        # from 0, so only the scan over the elimination pivots refuses it
+        h = 1.0 / n
+        c = 2.0 / h**2 - 2.0 / h**2 * math.cos(math.pi / n)
+        sub, diag, sup = _stencil(1.0, 0.0, c, 1.0, n)
+        with pytest.raises(EigenvalueDegeneracyError) as info:
+            fd_oracle(1.0, 0.0, c, 1.0, 1.0, 2.0, n)
+        assert str(info.value) == (
+            f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = "
+            f"({sub}, {diag}, {sup}): singular tridiagonal system (zero pivot)"
+        )
+
+    @pytest.mark.parametrize("a, b, c, L, n", [
+        (1.0, 40.0, 3.0, 1.0, 16),
+        (1.0, -40.0, 3.0, 1.0, 16),
+        (1.0, 40.0, 3.0, 1.0, 17),
+        (0.1, 50.0, -20.0, 5.0, 40),
+    ])
+    def test_roots_of_opposite_sign(self, a, b, c, L, n):
+        # |b|*h > 2|a| makes sub and sup of opposite sign, so the roots are
+        # too, and E(k) = 1 + |rho|**k at odd k
+        sub, _, sup = _stencil(a, b, c, L, n)
+        assert sub * sup < 0.0
+        pairs = [(1.0, 0.0), (0.0, 1.0), (2.5, -3.0)]
+        got = fd_oracle(a, b, c, L, [p for p, _ in pairs], [q for _, q in pairs], n)
+        for j, (p, q) in enumerate(pairs):
+            assert got[:, j].tobytes() == fd_oracle(a, b, c, L, [p], [q], n)[:, 0].tobytes()
+            want = _fd_oracle_per_column(a, b, c, L, p, q, n)
+            assert np.max(np.abs(got[:, j] - want)) <= 1e-9 * np.max(np.abs(want))
+
 
 def _exact_end_solutions(a, b, c, L, n, js):
     """U_j and V_j, the solutions for unit data at the left and at the right
@@ -810,15 +853,50 @@ class TestFdOracleEndSolutions:
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
 
+# Every case of the two demo problems that solves; homogeneous has a y' term,
+# so its mixed cases are refused.
+_SOLVED_DEMO_CASES = {
+    **{f"wave-{case.tag}": wave_problem(case) for case in ALL_CASES},
+    **{
+        f"homogeneous-{case.tag}": homogeneous_problem(case)
+        for case in (DiffCase.CASE_11, DiffCase.CASE_22)
+    },
+}
+
+
 class TestOracleGapColumns:
-    @pytest.mark.parametrize("r_values", [(0.0, 0.5, 1.0), (0.0,)])
-    @pytest.mark.parametrize(
-        "prob",
-        [wave_problem(case) for case in ALL_CASES]
-        + [homogeneous_problem(case) for case in (DiffCase.CASE_11, DiffCase.CASE_22)],
-        ids=["wave-11", "wave-22", "wave-12", "wave-21", "homogeneous-11", "homogeneous-22"],
-    )
+    # the per-level loop takes the two levels in either order; its running
+    # max has the bits of oracle_gap's one call
+    @pytest.mark.parametrize("r_values", [(0.0, 1.0), (1.0, 0.0)])
+    @pytest.mark.parametrize("prob", _SOLVED_DEMO_CASES.values(), ids=_SOLVED_DEMO_CASES.keys())
     def test_matches_per_level_loop(self, prob, r_values):
         sol = solve(prob)
-        n = 10_000
-        assert oracle_gap(sol, n, r_values) == _oracle_gap_per_level(sol, n, r_values)
+        assert oracle_gap(sol) == _oracle_gap_per_level(sol, validate.ORACLE_N, r_values)
+
+
+def _assert_levels_0_and_1_bound_the_gap(sol):
+    """The gap at 11 levels is at most ``oracle_gap``'s, to 1e-13 of the
+    largest |envelope| on the oracle grid."""
+    n = validate.ORACLE_N
+    levels = np.linspace(0.0, 1.0, 11)
+    xs = np.linspace(0.0, sol.problem.L, n + 1)
+    size = np.max(np.abs(evaluate_grids((sol.lower, sol.upper), xs, levels)))
+    assert _oracle_gap_per_level(sol, n, levels) <= oracle_gap(sol) + 1e-13 * size
+
+
+class TestOracleGapBoundsEveryLevel:
+    """Envelopes and oracle columns are both affine in r, so the gap at
+    r = 0 and r = 1 bounds the gap at every level."""
+
+    @pytest.mark.parametrize("prob", _SOLVED_DEMO_CASES.values(), ids=_SOLVED_DEMO_CASES.keys())
+    def test_demo_problems(self, prob):
+        _assert_levels_0_and_1_bound_the_gap(solve(prob))
+
+    @settings(max_examples=25, deadline=None)
+    @given(prob=solvable_problems())
+    def test_solvable_problems(self, prob):
+        try:
+            sol = solve(prob)
+        except FuzzyBvpError:
+            assume(False)
+        _assert_levels_0_and_1_bound_the_gap(sol)
