@@ -10,12 +10,15 @@ exact endpoint arithmetic instead of sampled approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import KW_ONLY, InitVar, dataclass
 
 from .errors import InvalidFuzzyNumberError
 
-# Slack for the invariant checks, absolute for the slopes and relative to the
-# largest |endpoint| for the ordering; each is a few flops, so 1e-12 is generous.
+# Slack for the invariant checks, relative to the largest |endpoint| so that
+# no check depends on the scale of the data; each is a few flops, so 1e-12 is
+# generous. Below the normal range rounding is absolute, so the smallest
+# normal double stands in for a smaller endpoint.
 ENDPOINT_TOL = 1e-12
 
 
@@ -43,31 +46,40 @@ class RFun:
 class FuzzyNumber:
     """Pair of affine branches (lower, upper) forming a valid level set.
 
-    Invariants, checked at construction with ``ENDPOINT_TOL`` slack: every
-    coefficient is finite, lower is non-decreasing in r, upper is non-increasing
-    in r, and lower(1) <= upper(1) (with the monotonicity this orders the
-    branches at every level).
+    Invariants, checked at construction with one slack, ``ENDPOINT_TOL`` times
+    the largest |endpoint| at r = 0 and r = 1: every coefficient is finite,
+    lower is non-decreasing in r, upper is non-increasing in r, and
+    lower(1) <= upper(1) (with the monotonicity this orders the branches at
+    every level). Scaling a number by a power of two that keeps its largest
+    endpoint in the normal range never changes whether it is accepted.
+
+    A sum or difference rounds at the size of its operands, not of its
+    result, so ``add`` and ``h_difference`` pass the operands' largest
+    |endpoint| as ``operand_size``, which the slack is taken relative to
+    when it is the larger.
     """
 
     lower: RFun
     upper: RFun
+    _: KW_ONLY
+    operand_size: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, operand_size):
         values = (self.lower.c0, self.lower.c1, self.upper.c0, self.upper.c1)
         if not all(math.isfinite(v) for v in values):
             raise InvalidFuzzyNumberError(f"branch coefficients must be finite, got {values}")
-        if self.lower.c1 < -ENDPOINT_TOL:
+        tol = ENDPOINT_TOL * max(sys.float_info.min, operand_size, _size(self))
+        if self.lower.c1 < -tol:
             raise InvalidFuzzyNumberError(
                 f"lower branch decreases in r (slope {self.lower.c1})"
             )
-        if self.upper.c1 > ENDPOINT_TOL:
+        if self.upper.c1 > tol:
             raise InvalidFuzzyNumberError(
                 f"upper branch increases in r (slope {self.upper.c1})"
             )
-        ends = (self.lower.c0, self.upper.c0, self.lower(1.0), self.upper(1.0))
-        if ends[2] > ends[3] + ENDPOINT_TOL * max(1.0, *map(abs, ends)):
+        if self.lower(1.0) > self.upper(1.0) + tol:
             raise InvalidFuzzyNumberError(
-                f"branches cross at r=1: lower {ends[2]} > upper {ends[3]}"
+                f"branches cross at r=1: lower {self.lower(1.0)} > upper {self.upper(1.0)}"
             )
 
     @staticmethod
@@ -97,9 +109,14 @@ def triangular(left: float, center: float, right: float) -> FuzzyNumber:
     )
 
 
+def _size(*numbers: FuzzyNumber) -> float:
+    """Largest |endpoint| at r = 0 and r = 1 over ``numbers``."""
+    return max(abs(f(r)) for u in numbers for f in (u.lower, u.upper) for r in (0.0, 1.0))
+
+
 def add(u: FuzzyNumber, v: FuzzyNumber) -> FuzzyNumber:
     """Level-wise addition."""
-    return FuzzyNumber(u.lower + v.lower, u.upper + v.upper)
+    return FuzzyNumber(u.lower + v.lower, u.upper + v.upper, operand_size=_size(u, v))
 
 
 def scale(j: float, u: FuzzyNumber) -> FuzzyNumber:
@@ -113,11 +130,11 @@ def h_difference(x: FuzzyNumber, y: FuzzyNumber) -> FuzzyNumber | None:
     """Hukuhara difference: the z with y + z = x, or None if no such z exists.
 
     The candidate is the branch-wise difference; it qualifies only when it
-    is itself a valid fuzzy number. Nonexistence is an ordinary outcome,
-    not an error.
+    is itself a valid fuzzy number, with the slack of its operands' size.
+    Nonexistence is an ordinary outcome, not an error.
     """
     try:
-        return FuzzyNumber(x.lower - y.lower, x.upper - y.upper)
+        return FuzzyNumber(x.lower - y.lower, x.upper - y.upper, operand_size=_size(x, y))
     except InvalidFuzzyNumberError:
         return None
 

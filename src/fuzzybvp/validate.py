@@ -11,7 +11,8 @@ the one verdict. One ``evaluate_grids`` pass (one basis evaluation per key
 for both branches and x-derivatives 0-2, canonical term order, zero
 coefficients masked) gives the grids that the monotonicity and ordering
 flags and both residuals are read from. The envelopes are affine in r, so
-the r-grid decides the r-conditions exactly; in x the verdict is sampled.
+their values at r = 0 and r = 1 decide the r-conditions exactly, whatever
+the number of levels sampled; in x the verdict is sampled.
 
 Solutions violating the conditions are reported, not rejected: which
 differentiability case produces a valid level set is exactly what a caller
@@ -24,6 +25,7 @@ into a value; ``enumerate_cases`` runs it once per family of twin cases
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -85,11 +87,14 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
     Both envelopes and their first two x-derivatives come from one
     ``evaluate_grids`` pass; ``np.linspace`` puts the first and last rows
     exactly at x = 0 and x = L. The envelopes are affine in r, so the
-    r-grid (which holds r = 0 and r = 1) settles monotonicity and ordering
-    for every level; in x the conditions are checked at the ``x_count``
-    samples only. The slack is ``GRID_TOL`` times the largest |envelope| on
-    the grid, one scalar for all three conditions, so the verdict does not
-    change when the boundary data are scaled.
+    levels r = 0 and r = 1 decide every level, as in ``FuzzyNumber`` and
+    ``oracle_gap``: lower(1) - lower(0) >= -tol, upper(1) - upper(0) <= tol,
+    and lower <= upper + tol at both levels. ``r_count`` only sets the
+    levels the residuals are sampled at, never the verdict. In x the
+    conditions are checked at the ``x_count`` samples only. ``tol`` is
+    ``GRID_TOL`` times the largest |envelope| on the grid (which an affine
+    function takes at r = 0 or r = 1), one scalar for all three conditions,
+    so the verdict does not change when the boundary data are scaled.
 
     The ODE residual is |a*y'' + b*y' + c*y| per branch for the decoupled
     cases and the coupled pair |a*lower'' + c_eff*upper|,
@@ -118,7 +123,8 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
             "an envelope or one of its first two x-derivatives is not finite"
         )
     lower, upper = y[:, 0]
-    tol = GRID_TOL * float(np.max(np.abs(y[:, 0])))
+    # the envelopes are affine in r, so r = 0 and r = 1 decide every level
+    tol = GRID_TOL * float(np.max(np.abs(y[:, 0][..., [0, -1]])))
     boundary_gaps = (
         lower[0] - prob.bc0.lower(rs),
         upper[0] - prob.bc0.upper(rs),
@@ -126,9 +132,9 @@ def check_level_set(sol: FuzzySolution, x_count: int = 101, r_count: int = 11) -
         upper[-1] - prob.bcL.upper(rs),
     )
     return ValidityReport(
-        monotone_lower_in_r=bool(np.all(np.diff(lower, axis=1) >= -tol)),
-        monotone_upper_in_r=bool(np.all(np.diff(upper, axis=1) <= tol)),
-        ordered=bool(np.all(lower <= upper + tol)),
+        monotone_lower_in_r=bool(np.all(lower[:, -1] - lower[:, 0] >= -tol)),
+        monotone_upper_in_r=bool(np.all(upper[:, -1] - upper[:, 0] <= tol)),
+        ordered=bool(np.all(lower[:, [0, -1]] <= upper[:, [0, -1]] + tol)),
         max_ode_residual=max_ode_residual,
         max_boundary_residual=float(np.max(np.abs(boundary_gaps))),
         grid=(x_count, r_count),
@@ -203,11 +209,16 @@ def _end_solutions(sub: float, diag: float, sup: float, n: int) -> tuple[np.ndar
     coefficients summed exactly: sub + diag + sup can cancel terms of size
     a*n**2/L**2. Elimination in order meets the pivots
     p_i = lambda_1*E(i+1)/E(i), lambda = -sup*mu; one at or below 1e-13
-    times the stencil's scale raises ``EigenvalueDegeneracyError``.
+    times the stencil's largest entry raises ``EigenvalueDegeneracyError``.
+    Every test and value here is homogeneous of degree 0 in the stencil, so
+    it is first scaled by a power of two to a largest entry in [0.5, 1): no
+    bit changes, and no sum of its entries can overflow.
     """
-    tol = 1e-13 * max(abs(sub), abs(diag), abs(sup), 1.0)
     refusal = (f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = "
                f"({sub}, {diag}, {sup}): singular tridiagonal system (zero pivot)")
+    e = math.frexp(max(abs(sub), abs(diag), abs(sup)))[1]
+    sub, diag, sup = (math.ldexp(v, -e) for v in (sub, diag, sup))
+    tol = 1e-13 * max(abs(sub), abs(diag), abs(sup))
     if abs(diag) <= tol:  # the first pivot
         raise EigenvalueDegeneracyError(refusal)
     j = np.arange(1, n)
@@ -270,8 +281,11 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     one-column call. The stencil weight is inside U and V, so data near the
     overflow edge never meet sub ~ a*n^2/L^2 on their own. Non-finite
     coefficients, L or boundary values and a non-positive L raise
-    ``ValueError``. Accuracy is O((L/n)^2); this is the independent check
-    for the closed-form pipeline and shares none of its machinery.
+    ``ValueError``. A step h = L/n that underflows to 0, a stencil entry
+    that is not finite and a weight a/h**2 below the normal range (the y''
+    term lost) raise ``UnsupportedProblemError``. Accuracy is O((L/n)^2);
+    this is the independent check for the closed-form pipeline and shares
+    none of its machinery.
     """
     if n < 16:
         raise ValueError(f"need at least 16 intervals, got {n}")
@@ -282,9 +296,19 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
         raise ValueError(f"domain length must be positive, got {L}")
     y0, yL = _boundary_arrays(y0, yL)
     h = L / n
-    sub = a / h**2 - b / (2.0 * h)
-    diag = c - 2.0 * a / h**2
-    sup = a / h**2 + b / (2.0 * h)
+    if not h > 0.0:
+        raise UnsupportedProblemError(
+            f"finite-difference oracle at n = {n}: grid step L/n = {L}/{n} underflows to 0"
+        )
+    # a / h / h, not a / h**2: a float quotient overflows to inf where ** raises
+    w, v = a / h / h, b / (2.0 * h)
+    sub, diag, sup = w - v, c - 2.0 * w, w + v
+    # a weight of y'' below the normal range has lost the term it stands for
+    if not (abs(w) >= sys.float_info.min and all(map(math.isfinite, (sub, diag, sup)))):
+        raise UnsupportedProblemError(
+            f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = "
+            f"({sub}, {diag}, {sup}) with a/h**2 = {w}: stencil beyond double precision"
+        )
     U, V = _end_solutions(sub, diag, sup, n)
     out = np.empty((n + 1, y0.size))
     out[0] = y0

@@ -1,15 +1,20 @@
 """Problem-file parsing, the run entry point, and its emitted artifacts."""
 
 import codecs
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fix_r
 from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, RFun, solve
@@ -638,3 +643,54 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert err == "error: internal: RuntimeError: solver exploded second line\n"
         assert "Traceback" not in err
+
+
+def _magnitudes(zero: bool = False):
+    """Floats of either sign with magnitude 10**[-320, 308], and 0 with ``zero``."""
+    signed = st.builds(
+        lambda u, sign: sign * 10.0**u, st.floats(-320.0, 308.0), st.sampled_from((-1.0, 1.0))
+    )
+    return signed | st.just(0.0) if zero else signed
+
+
+def _scaled_problem(a, b, c, L, scale, height) -> str:
+    """The wave problem file with these coefficients, domain and height, and its
+    boundary data times ``scale``; a negative scale swaps the branches."""
+    def bc(lower, upper):
+        lo, up = ([scale * v for v in branch] for branch in (lower, upper))
+        lo, up = (lo, up) if scale >= 0.0 else (up, lo)
+        return f"lower = {lo[0]!r} {lo[1]!r}\nupper = {up[0]!r} {up[1]!r}\n"
+
+    return (
+        f"[ode]\na = {a!r}\nb = {b!r}\nc = {c!r}\n\n[domain]\nL = {L!r}\n\n"
+        f"[bc0]\n{bc((1.0, 1.0), (3.0, -1.0))}\n[bcL]\n{bc((4.0, 1.0), (6.0, -1.0))}\n"
+        f"[potential]\nheight = {height!r}\n"
+    )
+
+
+class TestNoMagnitudeIsAnInternalError:
+    """Whatever the magnitudes of the input, ``--oracle`` solves, refuses a
+    case or refuses the file; it never ends in exit 3."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=_magnitudes(), b=_magnitudes(zero=True), c=_magnitudes(zero=True), L=_magnitudes(),
+        scale=_magnitudes(), height=_magnitudes(zero=True),
+    )
+    # the oracle's h**2 overflowed, L/n underflowed, fsum met inf - inf, and
+    # fsum overflowed on stencil entries near 1e308
+    @example(a=1.0, b=0.0, c=1.0, L=1e200, scale=1.0, height=0.0)
+    @example(a=1.0, b=0.0, c=1.0, L=5e-324, scale=1.0, height=0.0)
+    @example(a=1e300, b=1.7976931348623157e308, c=0.0, L=1e-12, scale=1.0, height=0.0)
+    @example(a=4e299, b=1e304, c=0.0, L=1.0, scale=1.0, height=0.0)
+    def test_exit_code(self, a, b, c, L, scale, height):
+        with contextlib.ExitStack() as stack:
+            tmp = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+            err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+            stack.enter_context(warnings.catch_warnings())
+            warnings.simplefilter("error")
+            path = tmp / "scaled.problem"
+            path.write_text(_scaled_problem(a, b, c, L, scale, height))
+            code = run(str(path), oracle=True, out_dir=tmp / "out")
+        assert code in (0, 1, 2)
+        assert "error: internal" not in err.getvalue()

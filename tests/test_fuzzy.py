@@ -1,8 +1,10 @@
 """Fuzzy number arithmetic, the Hukuhara difference, and the sup metric."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import random_fuzzy
@@ -58,6 +60,58 @@ class TestConstruction:
     def test_rejects_increasing_upper_branch(self):
         with pytest.raises(InvalidFuzzyNumberError, match=r"^upper branch increases in r \(slope 0.5\)$"):
             FuzzyNumber(RFun(0.0), RFun(1.0, 0.5))
+
+    @pytest.mark.parametrize("lower, upper, message", [
+        (RFun(2e-20), RFun(1e-20), "branches cross"),
+        (RFun(1e-20, -9e-21), RFun(2e-20), "lower branch decreases"),
+        (RFun(1e-20), RFun(2e-20, 9e-21), "upper branch increases"),
+    ], ids=["crossing", "falling-lower", "rising-upper"])
+    def test_small_numbers_refused_as_their_scaled_copies(self, lower, upper, message):
+        # every slack is relative to the largest |endpoint|, so a number of
+        # size 1e-20 fails as the same number of size 1 does
+        for factor in (1.0, 1e20):
+            with pytest.raises(InvalidFuzzyNumberError, match=message):
+                FuzzyNumber(lower.scaled(factor), upper.scaled(factor))
+
+    def test_rounding_sized_slope_on_large_values_accepted(self):
+        FuzzyNumber(RFun(1e6, -1e-7), RFun(2e6))
+
+    def test_sum_rounds_at_the_size_of_its_operands(self):
+        # each operand crosses by 2e-20 at r = 1, within the slack of its size
+        # 1; so does the sum, of size 2e-20, which is no crossing at size 1
+        u = FuzzyNumber(RFun(1.0, 1e-20), RFun(1.0, -1e-20))
+        v = FuzzyNumber(RFun(-1.0, 1e-20), RFun(-1.0, -1e-20))
+        assert add(u, v).lower(1.0) == 2e-20
+
+    def test_subnormal_rounding_is_not_a_crossing(self):
+        # (1, 2.5 - 1.5r) scaled by 5e-324: upper(1) rounds to 0 below
+        # lower(1) = 5e-324, where rounding is absolute
+        v = FuzzyNumber(RFun(1.0), RFun(2.5, -1.5))
+        assert scale(5e-324, v).upper(1.0) == 0.0
+
+
+# Branch coefficients of either sign in [1e-3, 1e3], or a slope a few
+# ENDPOINT_TOL of the number's size, where the verdict turns.
+_magnitudes = st.floats(-3.0, 3.0).map(lambda u: 10.0**u)
+_signed = st.builds(lambda m, s: s * m, _magnitudes, st.sampled_from((-1.0, 1.0)))
+_near_edge = st.builds(lambda m, f: f * 1e-12 * m, _magnitudes, st.floats(-4.0, 4.0))
+
+
+@given(
+    coefficients=st.tuples(_signed, _signed | _near_edge, _signed, _signed | _near_edge),
+    e=st.integers(-900, 900),
+)
+@example(coefficients=(1.0, -2e-12, 1.0, 0.0), e=-900)
+@example(coefficients=(2.0, 0.0, 1.0, 0.0), e=-900)
+def test_acceptance_is_invariant_under_power_of_two_scaling(coefficients, e):
+    def accepted(values):
+        try:
+            FuzzyNumber(RFun(*values[:2]), RFun(*values[2:]))
+        except InvalidFuzzyNumberError:
+            return False
+        return True
+
+    assert accepted(coefficients) == accepted([math.ldexp(v, e) for v in coefficients])
 
 
 class TestTriangular:
@@ -158,6 +212,15 @@ class TestHDifference:
         cand_lower = (x.lower(0) - y.lower(0), x.lower(1) - y.lower(1))
         assert cand_lower[1] < cand_lower[0]
         assert h_difference(x, y) is None
+
+    def test_difference_rounds_at_the_size_of_its_operands(self):
+        # 4.00001 - 4 and -3.00001 + 3 round at the size 4 of the operands;
+        # at the size 1e-5 of the result their sum would read as a crossing
+        y = FuzzyNumber(RFun(0.0), RFun(4.0, -3.0))
+        z = FuzzyNumber(RFun(0.0), RFun(1e-5, -1e-5))
+        recovered = h_difference(add(y, z), y)
+        assert recovered is not None
+        assert_fn_equal(recovered, z, tol=1e-15)
 
     def test_self_difference_is_crisp_zero(self):
         u = triangular(2, 3, 5)

@@ -18,6 +18,7 @@ from fuzzybvp import (
     FuzzyBVP,
     FuzzyBvpError,
     FuzzyNumber,
+    FuzzySolution,
     RClosedForm,
     RFun,
     TermKind,
@@ -129,6 +130,48 @@ class TestCheckLevelSet:
     def test_rejects_degenerate_grid(self):
         with pytest.raises(ValueError):
             check_level_set(wave_solution(), x_count=1, r_count=11)
+
+
+def _constant_in_x(lower: RFun, upper: RFun) -> FuzzySolution:
+    """A hand-built case-11 solution of y'' = 0 on [0, 1] with envelopes constant in x."""
+    prob = FuzzyBVP(
+        a=1.0, b=0.0, c=0.0, L=1.0,
+        bc0=FuzzyNumber.crisp(1.0), bcL=FuzzyNumber.crisp(3.0), case=DiffCase.CASE_11,
+    )
+    const = lambda coeff: RClosedForm(((TermKind.EXP, 0.0, coeff),))
+    return FuzzySolution(const(lower), const(upper), DiffCase.CASE_11, prob, {})
+
+
+def _flags(report):
+    return report.monotone_lower_in_r, report.monotone_upper_in_r, report.ordered
+
+
+class TestVerdictReadsLevels0And1:
+    """The envelopes are affine in r, so r = 0 and r = 1 decide every flag,
+    and the number of levels sampled never moves the verdict."""
+
+    # The slack is GRID_TOL * 3 = 3e-10. A change of 5e-10 over [0, 1]
+    # exceeds it; split into adjacent-level steps it would not at r_count >= 3.
+    @pytest.mark.parametrize("r_count", [2, 3, 11, 101])
+    @pytest.mark.parametrize("lower, upper, want", [
+        (RFun(1.0, -5e-10), RFun(3.0), (False, True, True)),
+        (RFun(1.0), RFun(3.0, 5e-10), (True, False, True)),
+        (RFun(1.0, -2e-10), RFun(3.0, 2e-10), (True, True, True)),
+    ], ids=["falling-lower", "rising-upper", "within-slack"])
+    def test_change_over_the_whole_level_range(self, lower, upper, want, r_count):
+        assert _flags(check_level_set(_constant_in_x(lower, upper), 11, r_count)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(prob=solvable_problems(), swapped=st.booleans())
+    def test_flags_do_not_depend_on_r_count(self, prob, swapped):
+        try:
+            sol = solve(prob)
+        except FuzzyBvpError:
+            assume(False)
+        if swapped:
+            sol = replace(sol, lower=sol.upper, upper=sol.lower)
+        verdicts = {_flags(check_level_set(sol, 101, r_count)) for r_count in (2, 11, 101)}
+        assert len(verdicts) == 1, verdicts
 
 
 def _endpoint_boundary_residual(sol, r_count: int) -> float:
@@ -900,3 +943,75 @@ class TestOracleGapBoundsEveryLevel:
         except FuzzyBvpError:
             assume(False)
         _assert_levels_0_and_1_bound_the_gap(sol)
+
+
+# (a, b, c, L) whose oracle stencil cannot be formed in double precision at
+# ORACLE_N intervals, each with its refusal.
+# "weight-underflows": a/h**2 is 0, so the stencil has lost the y'' term.
+# "step-underflows": L/n is 0.
+# "entries-overflow": a/h**2 is inf, and sub is inf - inf.
+BEYOND_DOUBLE = {
+    "weight-underflows": ((1.0, 0.0, 1.0, 1e200), "stencil beyond double precision"),
+    "step-underflows": ((1.0, 0.0, 1.0, 5e-324), "grid step L/n = 5e-324/10000 underflows to 0"),
+    "entries-overflow": ((1e300, 1.7976931348623157e308, 0.0, 1e-12), "stencil beyond double precision"),
+}
+
+
+class TestStencilBeyondDoublePrecision:
+    """An oracle stencil that double precision cannot hold is refused with
+    ``UnsupportedProblemError``, and ``check_case`` fails the case."""
+
+    @pytest.mark.parametrize("args, message", BEYOND_DOUBLE.values(), ids=BEYOND_DOUBLE.keys())
+    def test_fd_oracle_refuses(self, args, message):
+        with pytest.raises(UnsupportedProblemError, match=message) as info:
+            fd_oracle(*args, 1.0, 2.0, validate.ORACLE_N)
+        assert str(info.value).startswith(f"finite-difference oracle at n = {validate.ORACLE_N}")
+
+    @pytest.mark.parametrize("args, message", BEYOND_DOUBLE.values(), ids=BEYOND_DOUBLE.keys())
+    def test_check_case_fails_the_case(self, args, message):
+        # a case the closed form solves fails at the oracle; one it refuses
+        # keeps its own error. Case 11 solves on all but the subnormal domain.
+        a, b, c, L = args
+        prob = FuzzyBVP(a=a, b=b, c=c, L=L, bc0=BC0, bcL=BCL)
+        assert check_case(prob, DiffCase.CASE_11).solved == (L > 5e-324)
+        for case in ALL_CASES:
+            plain, checked = check_case(prob, case), check_case(prob, case, oracle=True)
+            assert not checked.solved
+            if plain.solved:
+                assert checked.error.startswith(
+                    "UnsupportedProblemError: finite-difference oracle at n = 10000"
+                )
+                assert message in checked.error
+            else:
+                assert checked.error == plain.error
+
+
+class TestFdOracleScaleFree:
+    """The refusal and every value are homogeneous of degree 0 in the
+    stencil, so scaling (a, b, c) by a power of two keeps every bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(min_value=0.1, max_value=10.0) | st.floats(min_value=-10.0, max_value=-0.1),
+        b=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+        c=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+        L=st.floats(min_value=0.1, max_value=5.0),
+        n=st.integers(16, 200),
+        e=st.integers(-600, 600),
+    )
+    # y'' = y scaled by 2**-70 was refused as singular while 2**-60 solved
+    @example(a=2.0**-70, b=0.0, c=-(2.0**-70), L=1.0, n=validate.ORACLE_N, e=70)
+    # stencil entries near 1e308, whose sums overflow unless scaled first
+    @example(a=4e299, b=1e304, c=0.0, L=1.0, n=validate.ORACLE_N, e=-10)
+    def test_power_of_two_scaling_keeps_every_bit(self, a, b, c, L, n, e):
+        y0, yL = [1.0, 0.0, 2.5], [0.0, 1.0, -3.0]
+        scaled = [math.ldexp(v, e) for v in (a, b, c)]
+        try:
+            want = fd_oracle(a, b, c, L, y0, yL, n)
+        except EigenvalueDegeneracyError:
+            with pytest.raises(EigenvalueDegeneracyError):
+                fd_oracle(*scaled, L, y0, yL, n)
+            return
+        got = fd_oracle(*scaled, L, y0, yL, n)
+        assert np.all(np.isfinite(got))
+        assert got.tobytes() == want.tobytes()
