@@ -47,10 +47,10 @@ class FuzzyNumber:
     """Pair of affine branches (lower, upper) forming a valid level set.
 
     Invariants, checked at construction with one slack, ``ENDPOINT_TOL`` times
-    the largest |endpoint| at r = 0 and r = 1: every coefficient is finite,
-    lower is non-decreasing in r, upper is non-increasing in r, and
-    lower(1) <= upper(1) (with the monotonicity this orders the branches at
-    every level). Scaling a number by a power of two that keeps its largest
+    the largest |endpoint| at r = 0 and r = 1: every coefficient and every
+    endpoint is finite, lower is non-decreasing in r, upper is non-increasing
+    in r, and lower(1) <= upper(1) (with the monotonicity this orders the
+    branches at every level). Scaling a number by a power of two that keeps its largest
     endpoint in the normal range never changes whether it is accepted.
 
     A sum or difference rounds at the size of its operands, not of its
@@ -68,7 +68,11 @@ class FuzzyNumber:
         values = (self.lower.c0, self.lower.c1, self.upper.c0, self.upper.c1)
         if not all(math.isfinite(v) for v in values):
             raise InvalidFuzzyNumberError(f"branch coefficients must be finite, got {values}")
-        tol = ENDPOINT_TOL * max(sys.float_info.min, operand_size, _size(self))
+        size = _size(self)
+        if not math.isfinite(size):  # c0 + c1 overflowed; the slack would be infinite
+            ends = (self.lower(1.0), self.upper(1.0))
+            raise InvalidFuzzyNumberError(f"branch endpoints at r=1 must be finite, got {ends}")
+        tol = ENDPOINT_TOL * max(sys.float_info.min, operand_size, size)
         if self.lower.c1 < -tol:
             raise InvalidFuzzyNumberError(
                 f"lower branch decreases in r (slope {self.lower.c1})"

@@ -24,6 +24,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -77,10 +78,8 @@ class Polynomial:
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0.0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0.0,) * (n - len(other.coeffs))
-        return Polynomial(tuple(x + y for x, y in zip(a, b)))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0.0)
+        return Polynomial(tuple(x + y for x, y in pairs))
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -139,6 +138,20 @@ _DERIVATIVE = {
     TermKind.COSH: (TermKind.SINH, 1.0),
     TermKind.SINH: (TermKind.COSH, 1.0),
 }
+# The transform of each kind at rate k as (pole / k, residue / coeff) pairs,
+# +pole first: l[cos(k*x)] = (1/2)/(p - ik) + (1/2)/(p + ik), and so on.
+_RESIDUES = {
+    TermKind.EXP: ((1 + 0j, 1 + 0j),),
+    TermKind.COS: ((1j, 0.5 + 0j), (-1j, 0.5 + 0j)),
+    TermKind.SIN: ((1j, -0.5j), (-1j, 0.5j)),
+    TermKind.COSH: ((1 + 0j, 0.5 + 0j), (-1 + 0j, 0.5 + 0j)),
+    TermKind.SINH: ((1 + 0j, 0.5 + 0j), (-1 + 0j, -0.5 + 0j)),
+}
+
+
+def _order(term) -> tuple:
+    """The canonical order of terms and (kind, k) keys: by kind, then rate."""
+    return _KIND_ORDER[term[0]], term[1]
 
 
 def _canonical(terms, is_zero) -> list:
@@ -149,7 +162,7 @@ def _canonical(terms, is_zero) -> list:
         key = (kind, k)
         merged[key] = merged[key] + coeff if key in merged else coeff
     kept = [(kind, k, coeff) for (kind, k), coeff in merged.items() if not is_zero(coeff)]
-    return sorted(kept, key=lambda t: (_KIND_ORDER[t[0]], t[1]))
+    return sorted(kept, key=_order)
 
 
 def _derivative(terms) -> list:
@@ -253,8 +266,7 @@ def evaluate_grids(forms, xs, rs, orders=(0,)) -> np.ndarray:
         for _ in range(max(orders)):
             by_order.append(_derivative(by_order[-1]))
         columns += [by_order[d] for d in orders]
-    keys = {(kind, k) for terms in columns for kind, k, _ in terms}
-    keys = sorted(keys, key=lambda key: (_KIND_ORDER[key[0]], key[1]))
+    keys = sorted({(kind, k) for terms in columns for kind, k, _ in terms}, key=_order)
     coeffs = np.zeros((len(keys), len(columns), rs.size))
     for c, terms in enumerate(columns):
         for kind, k, cr in terms:
@@ -288,15 +300,6 @@ def _quadratic_roots(c0: float, c1: float, c2: float) -> list[complex]:
     re = -c1 / (2.0 * c2)
     im = math.sqrt(-disc) / (2.0 * c2)
     return [complex(re, im), complex(re, -im)]
-
-
-def _complex_sqrt(q: complex) -> complex:
-    # Branch chosen so real/imaginary inputs yield exactly real/imaginary roots.
-    if q.imag == 0.0:
-        if q.real >= 0.0:
-            return complex(math.sqrt(q.real), 0.0)
-        return complex(0.0, math.sqrt(-q.real))
-    return q ** 0.5
 
 
 def roots(d: Polynomial) -> list[complex]:
@@ -339,7 +342,7 @@ def roots(d: Polynomial) -> list[complex]:
         found.extend(_quadratic_roots(c[0], c[1], c[2]))
     elif deg == 4 and c[1] == 0.0 and c[3] == 0.0:
         for q in _quadratic_roots(c[0], c[2], c[4]):
-            s = _complex_sqrt(q)
+            s = cmath.sqrt(q)
             found.extend([s, -s])
     else:
         raise UnsupportedProblemError(
@@ -438,35 +441,19 @@ def fundamental_pair(a: float, b: float, c: float) -> tuple[ClosedForm, ClosedFo
 def forward_laplace(g: ClosedForm) -> RationalFunction:
     """Transform a closed form back to a rational function.
 
-    Each basis term contributes residues at its poles (the classical table
-    entries), merged at coinciding poles. The result is a sum of one real
-    rational function per pole group, grouped as ``inverse_laplace`` pairs
-    them: +-iw, with r the residue at +iw, gives
+    Each basis term contributes residues at its poles, read from the
+    classical table ``_RESIDUES``, merged at coinciding poles. The result is
+    a sum of one real rational function per pole group, grouped as
+    ``inverse_laplace`` pairs them: +-iw, with r the residue at +iw, gives
     (2*Re r*p - 2w*Im r)/(p^2 + w^2); real +-k gives
     ((r+ + r-)*p + k*(r+ - r-))/(p^2 - k^2); any other pole r/(p - pole).
     So a denominator whose poles all come in +- pairs is a product of even
     factors, with odd coefficients exactly zero, as ``roots`` needs.
     """
     residues: dict[complex, complex] = {}
-
-    def _put(pole: complex, res: complex):
-        residues[pole] = residues.get(pole, 0j) + res
-
     for kind, k, c in g.terms:
-        if kind is TermKind.EXP:
-            _put(complex(k, 0.0), complex(c, 0.0))
-        elif kind is TermKind.COS:
-            _put(complex(0.0, k), complex(c / 2.0, 0.0))
-            _put(complex(0.0, -k), complex(c / 2.0, 0.0))
-        elif kind is TermKind.SIN:
-            _put(complex(0.0, k), complex(0.0, -c / 2.0))
-            _put(complex(0.0, -k), complex(0.0, c / 2.0))
-        elif kind is TermKind.COSH:
-            _put(complex(k, 0.0), complex(c / 2.0, 0.0))
-            _put(complex(-k, 0.0), complex(c / 2.0, 0.0))
-        else:  # SINH
-            _put(complex(k, 0.0), complex(c / 2.0, 0.0))
-            _put(complex(-k, 0.0), complex(-c / 2.0, 0.0))
+        for pole, res in _RESIDUES[kind]:
+            residues[k * pole] = residues.get(k * pole, 0j) + c * res
 
     # a pole whose residues cancel exactly is no pole of the transform
     residues = {pole: r for pole, r in residues.items() if r != 0}

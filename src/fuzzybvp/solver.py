@@ -218,8 +218,9 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
         a*d'' - c_eff*d = 0    (cos/sin, frequency w)
 
     with kappa = -c_eff/a. They need b = 0 and kappa > 0, and raise
-    ``CaseInapplicableError`` otherwise. Each goes to the two-point kernel
-    with its own operator. A branch is then built once over both pairs, with
+    ``CaseInapplicableError`` otherwise; a c + v_height that overflows is
+    refused first (``UnsupportedProblemError``). Each goes to the two-point
+    kernel with its own operator. A branch is then built once over both pairs, with
     the weights s0/2, F_s/2 and +-d0/2, +-F_d/2, and H1 = lower'(0), H2 =
     upper'(0) are the half sum and half difference of F_s and F_d. Cases 12
     and 21 solve the same equations and give the same solution. Every kernel
@@ -245,6 +246,11 @@ def solve(prob: FuzzyBVP) -> FuzzySolution:
             "use case 11 or 22"
         )
     c_eff = prob.effective_c(prob.case)
+    if not math.isfinite(c_eff):
+        raise UnsupportedProblemError(
+            f"the mixed cases solve with c + height = {prob.c} + {prob.v_height}, "
+            f"which overflows to {c_eff}"
+        )
     kappa = -c_eff / prob.a
     if kappa <= 0.0:
         raise CaseInapplicableError(

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -115,6 +116,11 @@ MALFORMED = {
     "bad-branch-number": (("lower = 1 1\n", "lower = 1 x\n"), "line 13: invalid number in 'lower': '1 x'"),
     "missing-branch": (
         ("upper = 3 -1\n", ""), "section [bc0] needs either 'triangular' or both 'lower' and 'upper'"
+    ),
+    # 1e308 + 1e308 overflows, so lower(1) is inf: no slack may absorb it
+    "overflowing-endpoint": (
+        ("lower = 4 1\nupper = 6 -1\n", "lower = 1e308 1e308\nupper = 1 0\n"),
+        "line 17: branch endpoints at r=1 must be finite, got (inf, 1.0)",
     ),
 }
 
@@ -628,6 +634,56 @@ class TestOracleRefusal:
     def test_solves_without_oracle(self, tmp_path, capsys, problem):
         assert main([problem, "--case", "11", "--out", str(tmp_path / "out")]) == 0
         assert capsys.readouterr().err == ""
+
+
+def _edited_wave_demo(*edits) -> str:
+    """The wave demo file with each (old, new) edit applied; each old text
+    must match exactly once, so an edit that stops matching fails loudly."""
+    text = WAVE_DEMO
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return text
+
+
+class TestDemoScenarios:
+    """Whole-file runs of the demos and of edited copies under --oracle."""
+
+    @pytest.mark.parametrize("name", ["wave", "homogeneous"])
+    def test_demo_oracle_gaps_at_most_1e_8(self, tmp_path, name):
+        # the gaps are 3.9e-10, 4.3e-10 and 2.6e-9; NaN fails the bound too
+        out = tmp_path / name
+        assert main([str(DEMO_PROBLEMS / f"{name}.problem"), "--oracle", "--out", str(out)]) == 0
+        report = (out / "report.txt").read_text()
+        gaps = [float(g) for g in re.findall(r"^oracle_max_gap = (\S+)$", report, re.M)]
+        assert gaps and len(gaps) == report.count("solved = true\n")
+        assert all(g <= 1e-8 for g in gaps), gaps
+
+    def test_scaled_wave_writes_the_demo_bytes(self, tmp_path):
+        # a and c times 2**-100 give the same ODE, and the oracle's refusal is
+        # scale-free: only the summary's problem line may differ
+        scale = 2.0**-100
+        problem = tmp_path / "scaled.problem"
+        problem.write_text(_edited_wave_demo(
+            ("\na = 1\n", f"\na = {scale!r}\n"), ("\nc = -1\n", f"\nc = {-scale!r}\n")
+        ))
+        demo, scaled = tmp_path / "demo", tmp_path / "scaled"
+        assert main([str(DEMO_PROBLEMS / "wave.problem"), "--oracle", "--out", str(demo)]) == 0
+        assert main([str(problem), "--oracle", "--out", str(scaled)]) == 0
+        names = sorted(p.name for p in demo.iterdir() if p.name != "summary.txt")
+        assert names == sorted(p.name for p in scaled.iterdir() if p.name != "summary.txt")
+        assert "report.txt" in names and len(names) == 5
+        for name in names:
+            assert (scaled / name).read_bytes() == (demo / name).read_bytes(), name
+
+    def test_long_domain_oracle_fails_the_case(self, tmp_path, capsys):
+        # y'' + y = 0 at L = 1e200: the oracle's weight a/h**2 underflows to 0,
+        # so case 11 fails under --oracle, and is never an internal error
+        problem = tmp_path / "long.problem"
+        problem.write_text(_edited_wave_demo(("\nc = -1\n", "\nc = 1\n"), ("\nL = 1\n", "\nL = 1e200\n")))
+        assert main([str(problem), "--case", "11", "--oracle", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("case 11 failed: "), err
 
 
 class TestInternalError:

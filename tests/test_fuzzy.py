@@ -57,6 +57,16 @@ class TestConstruction:
         with pytest.raises(InvalidFuzzyNumberError, match="finite"):
             FuzzyNumber(lower, upper)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (RFun(1e308, 1e308), RFun(1.0, 0.0)),
+        (RFun(-1e308, -1e308), RFun(-1e308, 0.0)),
+        (RFun(0.0, 0.0), RFun(1e308, 1e308)),
+    ], ids=["crossing", "falling-lower", "rising-upper"])
+    def test_rejects_overflowing_endpoint(self, lower, upper):
+        # c0 + c1 is infinite at r = 1, so a slack relative to it would be too
+        with pytest.raises(InvalidFuzzyNumberError, match=r"^branch endpoints at r=1 must be finite"):
+            FuzzyNumber(lower, upper)
+
     def test_rejects_increasing_upper_branch(self):
         with pytest.raises(InvalidFuzzyNumberError, match=r"^upper branch increases in r \(slope 0.5\)$"):
             FuzzyNumber(RFun(0.0), RFun(1.0, 0.5))

@@ -86,6 +86,22 @@ class TestRoots:
         np_roots = sorted(np.roots([1, 0, 0, 0, -k ** 4]), key=lambda z: (z.real, z.imag))
         assert got == pytest.approx(np_roots, abs=1e-9)
 
+    @pytest.mark.parametrize("squares", [
+        (2.0, -2.0), (0.25, -0.25), (9.0, -9.0), (-2.0, -3.0), (-0.5, -7.0),
+    ], ids=["k2=2", "k2=0.25", "k2=9", "2,3", "0.5,7"])
+    def test_biquadratic_roots_are_exact_square_roots(self, squares):
+        # (p^2 - k^2)(p^2 + k^2) and (p^2 + k^2)(p^2 + m^2), with squares the
+        # quadratic formula returns exactly: each root pair is +-math.sqrt
+        q1, q2 = squares
+        quartic = Polynomial((-q1, 0.0, 1.0)) * Polynomial((-q2, 0.0, 1.0))
+        want = []
+        for q in squares:
+            s = complex(math.sqrt(q), 0.0) if q > 0 else complex(0.0, math.sqrt(-q))
+            want += [s, -s]
+        want.sort(key=lambda z: (z.real, z.imag))
+        got = roots(quartic)
+        assert [(z.real.hex(), z.imag.hex()) for z in got] == [(z.real.hex(), z.imag.hex()) for z in want]
+
     def test_biquadratic_with_complex_squares(self):
         # p^4 + 1: p^2 = +-i, so each square root takes the complex branch
         got = roots(Polynomial((1.0, 0.0, 0.0, 0.0, 1.0)))
@@ -343,18 +359,21 @@ class TestForwardLaplace:
         f = forward_laplace(ClosedForm((term(TermKind.EXP, 0.0, 1.0),)))
         assert rational_close(f, RationalFunction(Polynomial((1.0,)), Polynomial((0.0, 1.0))))
 
-    def test_table_entries(self):
-        k = 0.7
-        cases = [
-            (TermKind.EXP, Polynomial((1.0,)), Polynomial((-k, 1.0))),
-            (TermKind.COS, Polynomial((0.0, 1.0)), Polynomial((k * k, 0.0, 1.0))),
-            (TermKind.SIN, Polynomial((k,)), Polynomial((k * k, 0.0, 1.0))),
-            (TermKind.COSH, Polynomial((0.0, 1.0)), Polynomial((-k * k, 0.0, 1.0))),
-            (TermKind.SINH, Polynomial((k,)), Polynomial((-k * k, 0.0, 1.0))),
-        ]
-        for kind, num, den in cases:
-            got = forward_laplace(ClosedForm((term(kind, k, 1.0),)))
-            assert rational_close(got, RationalFunction(num, den)), kind
+    @pytest.mark.parametrize("terms, num, den", [
+        (((TermKind.EXP, 0.7, 3.0),), (3.0,), (-0.7, 1.0)),
+        (((TermKind.COS, 0.7, 3.0),), (0.0, 3.0), (0.7 * 0.7, 0.0, 1.0)),
+        (((TermKind.SIN, 0.7, 3.0),), (0.7 * 3.0,), (0.7 * 0.7, 0.0, 1.0)),
+        (((TermKind.COSH, 0.7, 3.0),), (0.0, 3.0), (-0.7 * 0.7, 0.0, 1.0)),
+        (((TermKind.SINH, 0.7, 3.0),), (0.7 * 3.0,), (-0.7 * 0.7, 0.0, 1.0)),
+        # residues 1.5 at +k and 0.5 at -k
+        (((TermKind.EXP, 0.7, 1.0), (TermKind.COSH, 0.7, 1.0)), (0.7, 2.0), (-0.7 * 0.7, 0.0, 1.0)),
+    ], ids=["exp", "cos", "sin", "cosh", "sinh", "exp+cosh"])
+    def test_table_entries(self, terms, num, den):
+        # exact bits, signs of zero included: a reordered or rescaled
+        # residue or pole changes at least one of them
+        got = forward_laplace(ClosedForm(terms))
+        assert [c.hex() for c in got.numerator.coeffs] == [c.hex() for c in num]
+        assert [c.hex() for c in got.denominator.coeffs] == [c.hex() for c in den]
 
     def test_exp_cosh_overlap_stays_squarefree(self):
         # e^{kx} + cosh(kx) shares the pole at k; the merged residues must

@@ -397,6 +397,17 @@ class TestSolveCoupled:
             assert np.max(np.abs(res1)) <= 1e-8 * scale
             assert np.max(np.abs(res2)) <= 1e-8 * scale
 
+    @pytest.mark.parametrize("size", [1e308, -1e308], ids=["positive", "negative"])
+    def test_overflowing_c_plus_height_named(self, size):
+        # c + height is +-inf; kappa and the transform would misname it
+        prob = replace(wave_problem(DiffCase.CASE_12), c=size, v_height=size)
+        with pytest.raises(UnsupportedProblemError) as info:
+            solve(prob)
+        assert str(info.value) == (
+            f"the mixed cases solve with c + height = {size} + {size}, "
+            f"which overflows to {2 * size}"
+        )
+
 
 class TestDispatchAndEnumeration:
     def test_solve_dispatches(self):
