@@ -36,7 +36,6 @@ from .validate import (
     check_level_set,
     enumerate_cases,
     fd_oracle,
-    fd_oracle_coupled,
     oracle_gap,
     residual_ode,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "check_level_set",
     "enumerate_cases",
     "fd_oracle",
-    "fd_oracle_coupled",
     "forward_laplace",
     "h_difference",
     "hausdorff",

@@ -16,6 +16,7 @@ internal error (reported as one ``error: internal:`` line).
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
@@ -105,9 +106,12 @@ def _get_float(sections, section: str, key: str, default: float | None = None) -
         raise ProblemFormatError(f"missing key {key!r} in section [{section}]")
     value, lineno = entry
     try:
-        return float(value)
+        out = float(value)
     except ValueError:
         raise ProblemFormatError(f"invalid number for {key!r}: {value!r}", lineno) from None
+    if not math.isfinite(out):
+        raise ProblemFormatError(f"{key} must be finite, got {out}", lineno)
+    return out
 
 
 def _get_int(sections, section: str, key: str, default: int) -> int:
@@ -266,6 +270,10 @@ def run(
         return 2
 
     if case is not None:
+        if case not in CASE_CHOICES:
+            choices = "|".join(CASE_CHOICES)
+            print(f"error: case must be one of {choices}, got {case!r}", file=sys.stderr)
+            return 2
         spec = replace(spec, case_request=case)
     for name, value in (("r_levels", r_levels), ("x_samples", x_samples)):
         if value is not None:

@@ -20,11 +20,14 @@ class UnsupportedProblemError(FuzzyBvpError):
 
 
 class EigenvalueDegeneracyError(FuzzyBvpError):
-    """Boundary elimination hit a zero pivot.
+    """An elimination hit a zero pivot.
 
-    Happens when the domain length makes the homogeneous problem resonant
-    (an eigenvalue of the differential operator), so the shooting constant
-    cannot be solved for.
+    Raised by the boundary elimination when the domain length makes the
+    homogeneous problem resonant (an eigenvalue of the differential
+    operator), so the shooting constant cannot be solved for. Also raised
+    by the finite-difference oracle when its three-point stencil is
+    singular; under ``--oracle`` (``check_case(..., oracle=True)``) that
+    fails the case.
     """
 
 
@@ -39,6 +42,5 @@ class ProblemFormatError(FuzzyBvpError):
     """
 
     def __init__(self, message: str, line: int | None = None):
-        self.message = message
         self.line = line
         super().__init__(message if line is None else f"line {line}: {message}")

@@ -255,19 +255,6 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _boundary_arrays(*values) -> list[np.ndarray]:
-    """Finite float arrays of the boundary values, all scalars or all 1-D of one length."""
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    shapes = [x.shape for x in arrays]
-    if arrays[0].ndim > 1 or len(set(shapes)) > 1:
-        raise ValueError(
-            f"boundary values must be scalars or 1-D sequences of equal length, got shapes {shapes}"
-        )
-    if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("boundary values must be finite")
-    return arrays
-
-
 def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndarray:
     """Second-order central-difference solve of a*y'' + b*y' + c*y = 0.
 
@@ -294,7 +281,14 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
         raise ValueError("leading coefficient a must be nonzero")
     if not L > 0.0:
         raise ValueError(f"domain length must be positive, got {L}")
-    y0, yL = _boundary_arrays(y0, yL)
+    y0, yL = np.asarray(y0, dtype=float), np.asarray(yL, dtype=float)
+    if y0.ndim > 1 or y0.shape != yL.shape:
+        raise ValueError(
+            "boundary values must be scalars or 1-D sequences of equal length, "
+            f"got shapes {[y0.shape, yL.shape]}"
+        )
+    if not (np.isfinite(y0).all() and np.isfinite(yL).all()):
+        raise ValueError("boundary values must be finite")
     h = L / n
     if not h > 0.0:
         raise UnsupportedProblemError(
@@ -318,51 +312,34 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
     return out if y0.ndim else out[:, 0]
 
 
-def fd_oracle_coupled(
-    a: float, kappa: float, L: float, v0, w0, vL, wL, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference solve of the coupled pair a*v'' = kappa*w, a*w'' = kappa*v.
-
-    The half-sum s = (v + w)/2 solves a*s'' - kappa*s = 0 and the
-    half-difference d = (v - w)/2 solves a*d'' + kappa*d = 0. The
-    three-point stencil commutes with this change of variables, so two
-    scalar solves recombined as v = s + d, w = s - d are the coupled
-    scheme's solution. The data are halved before they are summed, so
-    finite data near the overflow edge stay finite; away from subnormals
-    halving is exact, and the bits are those of halving after the solve. The
-    boundary values follow ``fd_oracle``'s rule: scalars or equal-length
-    sequences, one column per boundary set, so each of the two matrices
-    gets its two end solutions once however many columns there are.
-    Invalid input raises ``ValueError`` as in ``fd_oracle``.
-    """
-    _require_finite(kappa=kappa)
-    v0, w0, vL, wL = (x / 2.0 for x in _boundary_arrays(v0, w0, vL, wL))
-    s = fd_oracle(a, 0.0, -kappa, L, v0 + w0, vL + wL, n)
-    d = fd_oracle(a, 0.0, kappa, L, v0 - w0, vL - wL, n)
-    return s + d, s - d
-
-
 def oracle_gap(sol: FuzzySolution) -> float:
     """Largest gap over every level in [0, 1] between the closed-form envelopes
     and the oracle on ``ORACLE_N`` intervals.
 
     At each fixed r the envelopes solve a crisp problem the oracle can
-    reproduce: the branch equations directly for cases 11/22, the coupled
-    pair for the mixed cases. The envelopes are affine in r, and so is each
-    oracle column, which is linear in its boundary data; the gap at a grid
-    point is then |alpha + r*beta|, largest at r = 0 or r = 1. So those two
-    levels give the gap at every level, to the rounding of the data, and
-    go to the oracle as columns of one call: one ``fd_oracle`` call with a
-    lower and an upper column per level for cases 11/22, one
-    ``fd_oracle_coupled`` call for the mixed cases.
+    reproduce: the branch equations for cases 11/22, the coupled pair
+    a*lower'' + c_eff*upper = 0 = a*upper'' + c_eff*lower for the mixed cases.
+    The envelopes are affine in r, and so is each oracle column, which is
+    linear in its boundary data; the gap at a grid point is then
+    |alpha + r*beta|, largest at r = 0 or r = 1. So those two levels give
+    the gap at every level, to the rounding of the data, and go to
+    ``fd_oracle`` as columns of one call per stencil: a lower and an upper
+    column per level for cases 11/22. For the mixed cases the half sum s
+    solves a*s'' + c_eff*s = 0 and the half difference d a*d'' - c_eff*d = 0,
+    and lower = s + d, upper = s - d.
     """
     prob = sol.problem
     rs = np.array((0.0, 1.0))
     lo0, up0 = prob.bc0.lower(rs), prob.bc0.upper(rs)
     loL, upL = prob.bcL.lower(rs), prob.bcL.upper(rs)
     if sol.case.is_mixed:
-        kappa = -prob.effective_c(sol.case)
-        fd = np.hstack(fd_oracle_coupled(prob.a, kappa, prob.L, lo0, up0, loL, upL, ORACLE_N))
+        c_eff = prob.effective_c(sol.case)
+        # halved before they are summed, so finite data stay finite
+        lo0, up0, loL, upL = (v / 2.0 for v in (lo0, up0, loL, upL))
+        s = fd_oracle(prob.a, 0.0, c_eff, prob.L, lo0 + up0, loL + upL, ORACLE_N)
+        d = fd_oracle(prob.a, 0.0, -c_eff, prob.L, lo0 - up0, loL - upL, ORACLE_N)
+        fd = np.hstack((s + d, s - d))
+        del s, d  # not held while the envelopes are evaluated
     else:
         bc0, bcL = np.concatenate((lo0, up0)), np.concatenate((loL, upL))
         fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc0, bcL, ORACLE_N)

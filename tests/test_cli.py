@@ -220,6 +220,21 @@ class TestParsing:
         assert (prob.bcL.lower(0.0), prob.bcL.lower(1.0), prob.bcL.upper(0.0)) == (4.0, 5.0, 6.0)
         assert (spec.case_request, spec.r_levels, spec.x_samples) == ("all", 11, 101)
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("height", "1e400", "inf"), ("height", "-inf", "-inf"), ("a", "nan", "nan"), ("L", "inf", "inf"),
+    ])
+    def test_non_finite_number_refused_at_its_line(self, key, value, shown):
+        # refused under the file's key and at its line, not later under the
+        # problem's field name (height is FuzzyBVP.v_height)
+        text = WAVE_PROBLEM + "\n[potential]\nheight = 0\n"
+        lines = text.splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} = "))
+        lines[lineno - 1] = f"{key} = {value}"
+        with pytest.raises(ProblemFormatError) as info:
+            parse_problem_text("\n".join(lines) + "\n")
+        assert info.value.line == lineno
+        assert str(info.value) == f"line {lineno}: {key} must be finite, got {shown}"
+
     def test_trailing_comment_keeps_line_numbers(self):
         text = WAVE_PROBLEM.replace("c = -1\n", "c = -1 ; decay\n").replace("L = 1", "L = x # bad")
         with pytest.raises(ProblemFormatError, match="line 8: invalid number for 'L'"):
@@ -359,6 +374,18 @@ class TestRun:
         assert err.startswith(f"error: cannot write {out}: ")
         assert "error: internal" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("case", ["13", 11, "All"])
+    def test_bad_case_override_exit_2(self, tmp_path, capsys, case):
+        # argparse's choices guard the command line; run() checks its own
+        # argument before it makes the output directory
+        problem = tmp_path / "problem.txt"
+        problem.write_text(HOMOGENEOUS_PROBLEM)
+        out = tmp_path / "out"
+        assert run(problem, case=case, out_dir=out) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: case must be one of 11|22|12|21|all, got {case!r}\n"
+        assert not out.exists()
+
     def test_degenerate_grid_override_exit_2(self, tmp_path, capsys):
         problem = tmp_path / "problem.txt"
         problem.write_text(HOMOGENEOUS_PROBLEM)
@@ -378,9 +405,11 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "old, new, where",
-        [("c = -1", "c = nan", "c must be finite"),
-         ("L = 1\n", "L = inf\n", "L must be finite"),
-         ("lower = 4 1", "lower = nan 1", "line 15: branch coefficients must be finite")],
+        [("c = -1", "c = nan", "line 5: c must be finite, got nan"),
+         ("L = 1\n", "L = inf\n", "line 8: L must be finite, got inf"),
+         ("lower = 4 1", "lower = nan 1", "line 15: branch coefficients must be finite"),
+         ("case = all\n", "case = all\n[potential]\nheight = 1e400\n",
+          "line 21: height must be finite, got inf")],
     )
     def test_non_finite_input_exit_2(self, tmp_path, capsys, old, new, where):
         problem = tmp_path / "problem.txt"

@@ -27,7 +27,6 @@ from fuzzybvp import (
     check_level_set,
     enumerate_cases,
     fd_oracle,
-    fd_oracle_coupled,
     oracle_gap,
     residual_ode,
     scale,
@@ -577,65 +576,48 @@ class TestFdOracle:
             fd_oracle(*args, 64)
 
 
+def _mixed_columns(a, c_eff, L, v0, w0, vL, wL, n):
+    """The mixed cases' oracle columns as ``oracle_gap`` forms them: the half
+    sum and half difference from one ``fd_oracle`` call each, recombined."""
+    v0, w0, vL, wL = (x / 2.0 for x in (v0, w0, vL, wL))
+    s = fd_oracle(a, 0.0, c_eff, L, v0 + w0, vL + wL, n)
+    d = fd_oracle(a, 0.0, -c_eff, L, v0 - w0, vL - wL, n)
+    return s + d, s - d
+
+
 class TestFdOracleCoupled:
+    """Two ``fd_oracle`` solves, on the half sum and the half difference, are
+    the coupled scheme for a*v'' + c_eff*w = 0, a*w'' + c_eff*v = 0."""
+
     def test_symmetric_data_reduces_to_scalar(self):
         # with v = w on the boundary the coupled pair collapses to
-        # a y'' = kappa y, which the scalar oracle solves with c = -kappa
-        kappa, n = 1.3, 256
-        v, w = fd_oracle_coupled(1.0, kappa, 1.0, 1.0, 1.0, 2.0, 2.0, n)
-        scalar = fd_oracle(1.0, 0.0, -kappa, 1.0, 1.0, 2.0, n)
+        # a*y'' + c_eff*y = 0, a single scalar solve
+        c_eff, n = -1.3, 256
+        v, w = _mixed_columns(1.0, c_eff, 1.0, 1.0, 1.0, 2.0, 2.0, n)
+        scalar = fd_oracle(1.0, 0.0, c_eff, 1.0, 1.0, 2.0, n)
         assert np.max(np.abs(v - w)) <= 1e-12
         assert np.max(np.abs(v - scalar)) <= 1e-10
 
     def test_matches_dense_stacked_system(self):
         # the coupled central-difference system assembled and solved as it
         # stands, with no sum/difference change of variables
-        a, kappa, L, n = 1.5, 2.0, 1.3, 64
+        a, c_eff, L, n = 1.5, -2.0, 1.3, 64
         v0, w0, vL, wL = 1.0, 3.0, 4.0, 6.0
         m, h = n - 1, L / n
         lap = (
             np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
         ) * (a / h**2)
-        system = np.block([[lap, -kappa * np.eye(m)], [-kappa * np.eye(m), lap]])
+        system = np.block([[lap, c_eff * np.eye(m)], [c_eff * np.eye(m), lap]])
         rhs = np.zeros(2 * m)
         rhs[0] -= a / h**2 * v0
         rhs[m - 1] -= a / h**2 * vL
         rhs[m] -= a / h**2 * w0
         rhs[-1] -= a / h**2 * wL
         dense = np.linalg.solve(system, rhs)
-        v, w = fd_oracle_coupled(a, kappa, L, v0, w0, vL, wL, n)
+        v, w = _mixed_columns(a, c_eff, L, v0, w0, vL, wL, n)
         assert np.max(np.abs(v[1:-1] - dense[:m])) <= 1e-10
         assert np.max(np.abs(w[1:-1] - dense[m:])) <= 1e-10
         assert (v[0], w[0], v[-1], w[-1]) == (v0, w0, vL, wL)
-
-    def test_data_near_the_overflow_edge_stay_finite(self):
-        # the data are halved before they are summed into s and d
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            v, w = fd_oracle_coupled(1.0, 1.0, 1.0, 1e308, 1e308, 0.0, 0.0, 64)
-        assert np.all(np.isfinite(v)) and np.all(np.isfinite(w))
-        assert (v[0], w[0]) == (1e308, 1e308)
-
-    def test_scales_exactly_with_the_data(self):
-        data = (1.0, 3.0, 4.0, 6.0)
-        v, w = fd_oracle_coupled(1.5, 2.0, 1.3, *data, 64)
-        big = fd_oracle_coupled(1.5, 2.0, 1.3, *(math.ldexp(x, 1000) for x in data), 64)
-        assert np.array_equal(big[0], np.ldexp(v, 1000))
-        assert np.array_equal(big[1], np.ldexp(w, 1000))
-
-    @pytest.mark.parametrize("args, message", [
-        ((1.0, 1.0, 0.0, 1.0, 3.0, 4.0, 6.0), "domain length must be positive"),
-        ((1.0, 1.0, -1.0, 1.0, 3.0, 4.0, 6.0), "domain length must be positive"),
-        ((1.0, 1.0, math.inf, 1.0, 3.0, 4.0, 6.0), "L must be finite"),
-        ((math.nan, 1.0, 1.0, 1.0, 3.0, 4.0, 6.0), "a must be finite"),
-        ((1.0, math.nan, 1.0, 1.0, 3.0, 4.0, 6.0), "kappa must be finite"),
-        ((1.0, -math.inf, 1.0, 1.0, 3.0, 4.0, 6.0), "kappa must be finite"),
-        ((1.0, 1.0, 1.0, math.nan, 3.0, 4.0, 6.0), "boundary values must be finite"),
-        ((1.0, 1.0, 1.0, [1.0], [3.0], [4.0], [math.inf]), "boundary values must be finite"),
-    ], ids=["L-zero", "L-negative", "L-inf", "a-nan", "kappa-nan", "kappa-inf", "v0-nan", "wL-inf"])
-    def test_invalid_input_raises_value_error(self, args, message):
-        with pytest.raises(ValueError, match=message):
-            fd_oracle_coupled(*args, 64)
 
     def test_matches_coupled_closed_form(self):
         sol = wave_solution(DiffCase.CASE_12)
@@ -645,12 +627,12 @@ class TestFdOracleCoupled:
         # the closed form is the scheme's O(h**2) limit: halving h quarters the gap
         sol = wave_solution(DiffCase.CASE_12)
         prob = sol.problem
-        kappa = -prob.effective_c(sol.case)
+        c_eff = prob.effective_c(sol.case)
         data = (prob.bc0.lower(0.0), prob.bc0.upper(0.0), prob.bcL.lower(0.0), prob.bcL.upper(0.0))
         gaps = []
         for n in (128, 256, 512):
             xs = np.linspace(0.0, prob.L, n + 1)
-            v, w = fd_oracle_coupled(prob.a, kappa, prob.L, *data, n)
+            v, w = _mixed_columns(prob.a, c_eff, prob.L, *data, n)
             gaps.append(max(
                 np.max(np.abs(v - sol.lower.evaluate(xs, 0.0))),
                 np.max(np.abs(w - sol.upper.evaluate(xs, 0.0))),
@@ -676,6 +658,12 @@ class TestOracleGap:
         want = math.ldexp(oracle_gap(solve(prob)), 1000)
         assert math.isfinite(want)
         assert oracle_gap(solve(_scaled_data(prob, 1000))) == want
+
+    @pytest.mark.parametrize("case", [DiffCase.CASE_12, DiffCase.CASE_21], ids=lambda c: c.tag)
+    def test_mixed_oracle_solves_with_c_plus_height(self, case):
+        # c + height = -1 as in the wave problem, so the gap keeps its bits
+        shifted = replace(wave_problem(case), c=1.5, v_height=-2.5)
+        assert oracle_gap(solve(shifted)) == oracle_gap(solve(wave_problem(case)))
 
     def test_uncoupled_gap_small(self):
         assert oracle_gap(wave_solution()) <= 1e-5
@@ -739,9 +727,9 @@ def _oracle_gap_per_level(sol, n, r_values):
     for j, r in enumerate(r_values):
         bc = (prob.bc0.lower(r), prob.bc0.upper(r), prob.bcL.lower(r), prob.bcL.upper(r))
         if sol.case.is_mixed:
-            kappa = -prob.effective_c(sol.case)
-            s = fd_oracle(prob.a, 0.0, -kappa, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
-            d = fd_oracle(prob.a, 0.0, kappa, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
+            c_eff = prob.effective_c(sol.case)
+            s = fd_oracle(prob.a, 0.0, c_eff, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
+            d = fd_oracle(prob.a, 0.0, -c_eff, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
             lo_fd, up_fd = (s + d) / 2.0, (s - d) / 2.0
         else:
             lo_fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc[0], bc[2], n)
@@ -807,8 +795,6 @@ class TestFdOracleColumns:
     def test_mismatched_boundary_shapes_raise(self, y0, yL):
         with pytest.raises(ValueError, match="equal length"):
             fd_oracle(1.0, 0.0, -1.0, 1.0, y0, yL, 64)
-        with pytest.raises(ValueError, match="equal length"):
-            fd_oracle_coupled(1.0, 1.0, 1.0, y0, yL, y0, y0, 64)
 
     def test_singular_stencil_raises_for_sequences(self):
         n, L, a = 16, 1.0, 1.0
@@ -872,7 +858,7 @@ class TestFdOracleEndSolutions:
         (1.0, -3.0, 2.0, 1.0),
         # sub + diag + sup rounds for this stencil; its exact sum does not
         (1.51, 11.9, -4.7, 3.0),
-        # a*d'' + kappa*d = 0, the difference stencil of fd_oracle_coupled
+        # a*d'' - c_eff*d = 0, the mixed cases' half-difference stencil
         (0.5, 0.0, 7.3, 2.0),
     ], ids=["cosh", "cos", "exp", "exp-rounded-sum", "mixed-difference"])
     def test_match_exact_solution_of_the_stencil(self, a, b, c, L):
