@@ -277,6 +277,9 @@ def run(
         spec = replace(spec, case_request=case)
     for name, value in (("r_levels", r_levels), ("x_samples", x_samples)):
         if value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                print(f"error: {name} must be an integer, got {value!r}", file=sys.stderr)
+                return 2
             if value < 2:
                 print(f"error: {name} must be at least 2, got {value}", file=sys.stderr)
                 return 2

@@ -38,9 +38,10 @@ from .solver import DiffCase, FuzzyBVP, FuzzySolution, solve
 # largest |envelope| on the grid.
 GRID_TOL = 1e-10
 
-# Intervals of the oracle grid in ``oracle_gap``; the scheme's O(h**2) error
-# there is 4e-10 on the wave demo (L = 1).
-ORACLE_N = 10_000
+# Intervals of the coarse oracle grid in ``oracle_gap``, which extrapolates
+# the solves on ORACLE_N and 2*ORACLE_N intervals; its gaps on the demo
+# problems are at most 6.4e-15.
+ORACLE_N = 2000
 
 
 @dataclass(frozen=True)
@@ -197,39 +198,54 @@ def _log_abs_1p(t: float) -> tuple[float, float]:
     return (math.log1p(t), 1.0) if t > -1.0 else (math.log1p(-2.0 - t), -1.0)
 
 
-def _end_solutions(sub: float, diag: float, sup: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """U and V at j = 1..n-1: the stencil's solutions for y_0 = 1, y_n = 0 and y_0 = 0, y_n = 1.
+def _end_solutions(a: float, b: float, c: float, h: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """U and V at j = 1..n-1: the solutions of the stencil (sub, diag, sup) =
+    (w - v, c - 2*w, w + v), with w = a/h**2 and v = b/(2*h), for y_0 = 1,
+    y_n = 0 and y_0 = 0, y_n = 1.
 
     With mu_1, mu_2 the roots of sup*mu**2 + diag*mu + sub = 0, |mu_2| <= |mu_1|,
     rho = mu_2/mu_1 and E(k) = 1 - rho**k, U_j = mu_2**j*E(n-j)/E(n) and
     V_j = mu_1**(j-n)*E(j)/E(n): each mode is anchored at the end where it is
     largest. A complex pair r*exp(+-i*theta) has E(k) = sin(k*theta) and a
     double root E(k) = k. If sub*sup/diag**2 <= 2**-100, a root is ~0 or ~inf
-    and each end keeps one mode. mu = 1 + t, with the t-quadratic's
-    coefficients summed exactly: sub + diag + sup can cancel terms of size
-    a*n**2/L**2. Elimination in order meets the pivots
-    p_i = lambda_1*E(i+1)/E(i), lambda = -sup*mu; one at or below 1e-13
-    times the stencil's largest entry raises ``EigenvalueDegeneracyError``.
-    Every test and value here is homogeneous of degree 0 in the stencil, so
-    it is first scaled by a power of two to a largest entry in [0.5, 1): no
-    bit changes, and no sum of its entries can overflow.
+    and each end keeps one mode. mu = 1 + t, with the t-quadratic
+    sup*t**2 + (c + 2*v)*t + c = 0 formed from w, v and c: the rounded
+    diag = c - 2*w has already lost about u*w of c, a relative u/(k*h)**2,
+    and r**2 = sub/sup = 1 - 2*v/(w + v) likewise. Elimination in order
+    meets the pivots p_i = lambda_1*E(i+1)/E(i), lambda = -sup*mu; one at or
+    below 1e-13 times the rounded stencil's largest entry raises
+    ``EigenvalueDegeneracyError``, and an entry that is not finite, or a
+    weight w below the normal range (the y'' term lost),
+    ``UnsupportedProblemError``. Every test and value here is homogeneous
+    of degree 0 in (w, v, c), so they are first scaled by one power of two
+    to a largest stencil entry in [0.5, 1): no bit changes, and no sum can
+    overflow. v is scaled through b, since b/(2*h) below the normal range
+    has lost bits that b*2**-e/(2*h) keeps; so (a, b, c) scaled exactly by
+    a power of two keeps every bit of U and V.
     """
-    refusal = (f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = "
-               f"({sub}, {diag}, {sup}): singular tridiagonal system (zero pivot)")
+    # a / h / h, not a / h**2: a float quotient overflows to inf where ** raises
+    w, v = a / h / h, b / (2.0 * h)
+    sub, diag, sup = w - v, c - 2.0 * w, w + v
+    stencil = f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = ({sub}, {diag}, {sup})"
+    # a weight of y'' below the normal range has lost the term it stands for
+    if not (abs(w) >= sys.float_info.min and all(map(math.isfinite, (sub, diag, sup)))):
+        raise UnsupportedProblemError(f"{stencil} with a/h**2 = {w}: stencil beyond double precision")
+    refusal = f"{stencil}: singular tridiagonal system (zero pivot)"
     e = math.frexp(max(abs(sub), abs(diag), abs(sup)))[1]
-    sub, diag, sup = (math.ldexp(v, -e) for v in (sub, diag, sup))
+    w, c, sub, diag, sup = (math.ldexp(x, -e) for x in (w, c, sub, diag, sup))
+    v = math.ldexp(b, -e) / (2.0 * h)
     tol = 1e-13 * max(abs(sub), abs(diag), abs(sup))
     if abs(diag) <= tol:  # the first pivot
         raise EigenvalueDegeneracyError(refusal)
     j = np.arange(1, n)
     if abs((sub / diag) * (sup / diag)) <= 2.0**-100:
         return (-sub / diag) ** j, (-sup / diag) ** (n - j)
-    half = math.fsum((sup, sup, diag)) / (2.0 * sup)  # t**2 + 2*half*t + prod = 0
-    prod = math.fsum((sub, diag, sup)) / sup
+    half = (c + 2.0 * v) / (2.0 * sup)  # t**2 + 2*half*t + prod = 0
+    prod = c / sup
     disc = half * half - prod
     k = np.arange(1, n + 1)
     if disc < 0.0:
-        l1 = l2 = 0.5 * math.log1p((sub - sup) / sup)  # r**2 = sub/sup; sub - sup is exact
+        l1 = l2 = 0.5 * math.log1p(-2.0 * v / sup)
         s1 = s2 = 1.0
         E = np.sin(k * math.atan2(math.sqrt(-disc), 1.0 - half))
     else:
@@ -294,39 +310,43 @@ def fd_oracle(a: float, b: float, c: float, L: float, y0, yL, n: int) -> np.ndar
         raise UnsupportedProblemError(
             f"finite-difference oracle at n = {n}: grid step L/n = {L}/{n} underflows to 0"
         )
-    # a / h / h, not a / h**2: a float quotient overflows to inf where ** raises
-    w, v = a / h / h, b / (2.0 * h)
-    sub, diag, sup = w - v, c - 2.0 * w, w + v
-    # a weight of y'' below the normal range has lost the term it stands for
-    if not (abs(w) >= sys.float_info.min and all(map(math.isfinite, (sub, diag, sup)))):
-        raise UnsupportedProblemError(
-            f"finite-difference oracle at n = {n}, stencil (sub, diag, sup) = "
-            f"({sub}, {diag}, {sup}) with a/h**2 = {w}: stencil beyond double precision"
-        )
-    U, V = _end_solutions(sub, diag, sup, n)
-    out = np.empty((n + 1, y0.size))
-    out[0] = y0
-    out[-1] = yL
-    np.multiply.outer(U, y0.ravel(), out=out[1:-1])
-    out[1:-1] += np.multiply.outer(V, yL.ravel())
-    return out if y0.ndim else out[:, 0]
+    U, V = _end_solutions(a, b, c, h, n)
+    # one row per column, so the products run along the grid, not along the
+    # few columns; the (n+1, k) result is its transpose
+    out = np.empty((y0.size, n + 1))
+    out[:, 0] = y0
+    out[:, -1] = yL
+    np.multiply.outer(y0.ravel(), U, out=out[:, 1:-1])
+    out[:, 1:-1] += np.multiply.outer(yL.ravel(), V)
+    return out.T if y0.ndim else out[0]
+
+
+def _extrapolated(a: float, b: float, c: float, L: float, y0, yL) -> np.ndarray:
+    """``fd_oracle`` on ``ORACLE_N`` intervals with its O(h**2) error term
+    cancelled: f_2n + (f_2n - f_n)/3 on the coarse grid, Richardson's deferred
+    approach to the limit. The scheme's error is even in h, so what is left
+    is O(h**4)."""
+    coarse = fd_oracle(a, b, c, L, y0, yL, ORACLE_N)
+    fine = fd_oracle(a, b, c, L, y0, yL, 2 * ORACLE_N)[::2]
+    return fine + (fine - coarse) / 3.0
 
 
 def oracle_gap(sol: FuzzySolution) -> float:
     """Largest gap over every level in [0, 1] between the closed-form envelopes
-    and the oracle on ``ORACLE_N`` intervals.
+    and the oracle extrapolated from ``ORACLE_N`` and ``2*ORACLE_N`` intervals,
+    on the ``ORACLE_N + 1`` points of the coarse grid.
 
     At each fixed r the envelopes solve a crisp problem the oracle can
     reproduce: the branch equations for cases 11/22, the coupled pair
     a*lower'' + c_eff*upper = 0 = a*upper'' + c_eff*lower for the mixed cases.
-    The envelopes are affine in r, and so is each oracle column, which is
-    linear in its boundary data; the gap at a grid point is then
+    The envelopes are affine in r, and so is each extrapolated oracle column,
+    which is linear in its boundary data; the gap at a grid point is then
     |alpha + r*beta|, largest at r = 0 or r = 1. So those two levels give
     the gap at every level, to the rounding of the data, and go to
-    ``fd_oracle`` as columns of one call per stencil: a lower and an upper
-    column per level for cases 11/22. For the mixed cases the half sum s
-    solves a*s'' + c_eff*s = 0 and the half difference d a*d'' - c_eff*d = 0,
-    and lower = s + d, upper = s - d.
+    ``fd_oracle`` as columns of one call per stencil and grid: a lower and
+    an upper column per level for cases 11/22. For the mixed cases the half
+    sum s solves a*s'' + c_eff*s = 0 and the half difference d
+    a*d'' - c_eff*d = 0, and lower = s + d, upper = s - d.
     """
     prob = sol.problem
     rs = np.array((0.0, 1.0))
@@ -336,13 +356,13 @@ def oracle_gap(sol: FuzzySolution) -> float:
         c_eff = prob.effective_c(sol.case)
         # halved before they are summed, so finite data stay finite
         lo0, up0, loL, upL = (v / 2.0 for v in (lo0, up0, loL, upL))
-        s = fd_oracle(prob.a, 0.0, c_eff, prob.L, lo0 + up0, loL + upL, ORACLE_N)
-        d = fd_oracle(prob.a, 0.0, -c_eff, prob.L, lo0 - up0, loL - upL, ORACLE_N)
+        s = _extrapolated(prob.a, 0.0, c_eff, prob.L, lo0 + up0, loL + upL)
+        d = _extrapolated(prob.a, 0.0, -c_eff, prob.L, lo0 - up0, loL - upL)
         fd = np.hstack((s + d, s - d))
         del s, d  # not held while the envelopes are evaluated
     else:
         bc0, bcL = np.concatenate((lo0, up0)), np.concatenate((loL, upL))
-        fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc0, bcL, ORACLE_N)
+        fd = _extrapolated(prob.a, prob.b, prob.c, prob.L, bc0, bcL)
     xs = np.linspace(0.0, prob.L, ORACLE_N + 1)
     lower, upper = evaluate_grids((sol.lower, sol.upper), xs, rs)[:, 0]
     fd[:, : rs.size] -= lower

@@ -392,6 +392,25 @@ class TestRun:
         assert run(problem, r_levels=1, out_dir=tmp_path / "out") == 2
         assert "r_levels" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["r_levels", "x_samples"])
+    @pytest.mark.parametrize("value", [2.5, 11.0, "11", True])
+    def test_non_integer_grid_override_exit_2(self, tmp_path, capsys, name, value):
+        # argparse's type=int guards the command line; run() checks its own
+        # arguments before it makes the output directory
+        problem = tmp_path / "problem.txt"
+        problem.write_text(HOMOGENEOUS_PROBLEM)
+        out = tmp_path / "out"
+        assert run(problem, out_dir=out, **{name: value}) == 2
+        assert capsys.readouterr().err == f"error: {name} must be an integer, got {value!r}\n"
+        assert not out.exists()
+
+    def test_numpy_integer_grid_override(self, tmp_path):
+        problem = tmp_path / "problem.txt"
+        problem.write_text(HOMOGENEOUS_PROBLEM)
+        out = tmp_path / "out"
+        assert run(problem, r_levels=np.int64(3), x_samples=np.int32(5), out_dir=out) == 0
+        assert "grid_x = 5\ngrid_r = 3\n" in (out / "report.txt").read_text()
+
     def test_all_cases_failed_exit_1(self, tmp_path, capsys):
         problem = tmp_path / "problem.txt"
         problem.write_text(HOMOGENEOUS_PROBLEM)
@@ -630,9 +649,10 @@ class TestAllCasesMatchSingleCaseRuns:
         assert len(gaps) == 4 and gaps[0] == gaps[1] and gaps[2] == gaps[3]
 
 
-# At n = 10^4 the oracle's stencil diagonal 200000000 - 2/h**2 is exactly 0 and
-# the stencil has 9999 interior points, so it is singular; the closed form solves.
-SINGULAR_ORACLE = (DEMO_PROBLEMS / "wave.problem").read_text().replace("\nc = -1\n", "\nc = 200000000\n")
+# At n = ORACLE_N = 2000 the oracle's stencil diagonal 8000000 - 2/h**2 is exactly
+# 0 and the stencil has 1999 interior points, so it is singular; the closed form
+# solves.
+SINGULAR_ORACLE = (DEMO_PROBLEMS / "wave.problem").read_text().replace("\nc = -1\n", "\nc = 8000000\n")
 
 
 class TestOracleRefusal:
@@ -649,7 +669,7 @@ class TestOracleRefusal:
         assert main([problem, "--case", "11", "--oracle", "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("case 11 failed: EigenvalueDegeneracyError: ")
-        assert "finite-difference oracle at n = 10000" in err[0]
+        assert "finite-difference oracle at n = 2000" in err[0]
         report = (out / "report.txt").read_text()
         assert "solved = false\nerror = EigenvalueDegeneracyError: " in report
         assert not (out / "case_11.csv").exists()
@@ -679,14 +699,15 @@ class TestDemoScenarios:
     """Whole-file runs of the demos and of edited copies under --oracle."""
 
     @pytest.mark.parametrize("name", ["wave", "homogeneous"])
-    def test_demo_oracle_gaps_at_most_1e_8(self, tmp_path, name):
-        # the gaps are 3.9e-10, 4.3e-10 and 2.6e-9; NaN fails the bound too
+    def test_demo_oracle_gaps_at_most_1e_13(self, tmp_path, name):
+        # the gaps are 2.7e-15 (wave, all four cases) and 6.4e-15; NaN fails
+        # the bound too
         out = tmp_path / name
         assert main([str(DEMO_PROBLEMS / f"{name}.problem"), "--oracle", "--out", str(out)]) == 0
         report = (out / "report.txt").read_text()
         gaps = [float(g) for g in re.findall(r"^oracle_max_gap = (\S+)$", report, re.M)]
         assert gaps and len(gaps) == report.count("solved = true\n")
-        assert all(g <= 1e-8 for g in gaps), gaps
+        assert all(g <= 1e-13 for g in gaps), gaps
 
     def test_scaled_wave_writes_the_demo_bytes(self, tmp_path):
         # a and c times 2**-100 give the same ODE, and the oracle's refusal is

@@ -473,16 +473,16 @@ class TestOracleInCheckCase:
                 assert res.report.oracle_max_gap == twin.report.oracle_max_gap is not None
 
     def test_oracle_refusal_fails_the_case(self):
-        # at n = 10^4 the stencil diagonal c - 2a/h**2 is exactly 0, and the
-        # stencil has an odd number of interior points, so it is singular
-        prob = wave_problem(case=None, energy=-2e8)
+        # at n = ORACLE_N = 2000 the stencil diagonal c - 2a/h**2 is exactly 0,
+        # and the stencil has an odd number of interior points, so it is singular
+        prob = wave_problem(case=None, energy=-8e6)
         assert check_case(prob, DiffCase.CASE_11).solved
         results = enumerate_cases(prob, oracle=True)
         for res in results[:2]:
             assert not res.solved and res.report is None
             assert res.error == (
-                "EigenvalueDegeneracyError: finite-difference oracle at n = 10000, stencil "
-                "(sub, diag, sup) = (100000000.0, 0.0, 100000000.0): "
+                "EigenvalueDegeneracyError: finite-difference oracle at n = 2000, stencil "
+                "(sub, diag, sup) = (4000000.0, 0.0, 4000000.0): "
                 "singular tridiagonal system (zero pivot)"
             )
         assert all(r.error.startswith("CaseInapplicableError: ") for r in results[2:])
@@ -716,9 +716,17 @@ def _fd_oracle_per_column(a, b, c, L, y0, yL, n):
     return np.concatenate(([y0], _thomas_per_column(sub, diag, sup, rhs), [yL]))
 
 
+def _richardson(a, b, c, L, y0, yL, n):
+    """The scalar ``fd_oracle`` solves on n and 2n intervals, extrapolated
+    to f_2n + (f_2n - f_n)/3 on the n + 1 coarse points."""
+    coarse = fd_oracle(a, b, c, L, y0, yL, n)
+    fine = fd_oracle(a, b, c, L, y0, yL, 2 * n)[::2]
+    return fine + (fine - coarse) / 3.0
+
+
 def _oracle_gap_per_level(sol, n, r_values):
-    """``oracle_gap`` as one pair of scalar ``fd_oracle`` solves per level,
-    with a running max."""
+    """``oracle_gap`` as one pair of extrapolated scalar oracle solves per
+    level, with a running max."""
     prob = sol.problem
     xs = np.linspace(0.0, prob.L, n + 1)
     lo_grid = evaluate_grids((sol.lower,), xs, r_values, (0,))[0, 0]
@@ -728,12 +736,12 @@ def _oracle_gap_per_level(sol, n, r_values):
         bc = (prob.bc0.lower(r), prob.bc0.upper(r), prob.bcL.lower(r), prob.bcL.upper(r))
         if sol.case.is_mixed:
             c_eff = prob.effective_c(sol.case)
-            s = fd_oracle(prob.a, 0.0, c_eff, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
-            d = fd_oracle(prob.a, 0.0, -c_eff, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
+            s = _richardson(prob.a, 0.0, c_eff, prob.L, bc[0] + bc[1], bc[2] + bc[3], n)
+            d = _richardson(prob.a, 0.0, -c_eff, prob.L, bc[0] - bc[1], bc[2] - bc[3], n)
             lo_fd, up_fd = (s + d) / 2.0, (s - d) / 2.0
         else:
-            lo_fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc[0], bc[2], n)
-            up_fd = fd_oracle(prob.a, prob.b, prob.c, prob.L, bc[1], bc[3], n)
+            lo_fd = _richardson(prob.a, prob.b, prob.c, prob.L, bc[0], bc[2], n)
+            up_fd = _richardson(prob.a, prob.b, prob.c, prob.L, bc[1], bc[3], n)
         worst = max(
             worst,
             float(np.max(np.abs(lo_grid[:, j] - lo_fd))),
@@ -838,9 +846,13 @@ class TestFdOracleColumns:
 
 def _exact_end_solutions(a, b, c, L, n, js):
     """U_j and V_j, the solutions for unit data at the left and at the right
-    end, of the same rounded stencil at the indices ``js``, in 40 digits."""
+    end, at the indices ``js``, in 40 digits, of the stencil
+    (w - v, c - 2*w, w + v) formed without rounding from the oracle's
+    weights w = a/h**2 and v = b/(2*h)."""
+    h = L / n
     with mpmath.workdps(40):
-        sub, diag, sup = (mpmath.mpf(x) for x in _stencil(a, b, c, L, n))
+        w, v, c = mpmath.mpf(a / h / h), mpmath.mpf(b / (2.0 * h)), mpmath.mpf(c)
+        sub, diag, sup = w - v, c - 2 * w, w + v
         root = mpmath.sqrt(diag**2 - 4 * sub * sup)  # imaginary for an oscillatory stencil
         mu1, mu2 = (-diag + root) / (2 * sup), (-diag - root) / (2 * sup)
         den = mu1**n - mu2**n
@@ -856,7 +868,7 @@ class TestFdOracleEndSolutions:
         (1.0, 0.0, -1.0, 1.0),
         (1.0, 0.0, 1.0, 1.0),
         (1.0, -3.0, 2.0, 1.0),
-        # sub + diag + sup rounds for this stencil; its exact sum does not
+        # sub + diag + sup of the rounded entries is not c for this stencil
         (1.51, 11.9, -4.7, 3.0),
         # a*d'' - c_eff*d = 0, the mixed cases' half-difference stencil
         (0.5, 0.0, 7.3, 2.0),
@@ -931,6 +943,71 @@ class TestOracleGapBoundsEveryLevel:
         _assert_levels_0_and_1_bound_the_gap(sol)
 
 
+def _exact_unit_columns(a, b, c, L, n, js):
+    """The solutions of a*y'' + b*y' + c*y = 0 with (y(0), y(L)) = (1, 0) and
+    (0, 1) at x = j*L/n for j in ``js``, in 50 digits."""
+    with mpmath.workdps(50):
+        a, b, c, L = (mpmath.mpf(v) for v in (a, b, c, L))
+        root = mpmath.sqrt(b * b - 4 * a * c)  # imaginary for an oscillatory pair
+        m1, m2 = (-b + root) / (2 * a), (-b - root) / (2 * a)
+        den = mpmath.exp(m2 * L) - mpmath.exp(m1 * L)
+        xs = [L * j / n for j in js]
+        U = [float(mpmath.re((mpmath.exp(m1 * x + m2 * L) - mpmath.exp(m2 * x + m1 * L)) / den)) for x in xs]
+        V = [float(mpmath.re((mpmath.exp(m2 * x) - mpmath.exp(m1 * x)) / den)) for x in xs]
+    return np.column_stack((U, V))
+
+
+# a = 1.3 and k = 1.7: a*y'' = a*k**2*y, a*y'' = -a*k**2*y, and the
+# exponentials e^(k*x), e^(-k*x/2); (b, c) per family
+_A, _K = 1.3, 1.7
+_FAMILIES = {
+    "cosh": (0.0, -_A * _K**2),
+    "cos": (0.0, _A * _K**2),
+    "exp": (-_A * _K / 2.0, -_A * _K**2 / 2.0),
+}
+
+
+class TestExtrapolatedOracle:
+    """f_2n + (f_2n - f_n)/3 on the ORACLE_N grid is fourth order, and its
+    stencil keeps c exactly, so it judges the closed form to ~1e-12."""
+
+    @pytest.mark.parametrize("family, kL, bound", [
+        *((family, kL, 1e-12) for family in _FAMILIES for kL in (1.0, 5.0)),
+        ("cosh", 20.0, 1e-11),
+        ("exp", 20.0, 1e-11),
+    ])
+    def test_columns_match_the_ode(self, family, kL, bound):
+        # ~3e-16 at kL = 1 and at most 3.6e-12 at kL = 20; with the stencil's
+        # t-quadratic summed from its rounded entries, 1.5e-11 at kL = 1
+        b, c = _FAMILIES[family]
+        L, n = kL / _K, validate.ORACLE_N
+        js = np.unique(np.linspace(0, n, 101).astype(int))
+        got = _richardson(_A, b, c, L, [1.0, 0.0], [0.0, 1.0], n)[js]
+        want = _exact_unit_columns(_A, b, c, L, n, js.tolist())
+        assert np.all(np.max(np.abs(got - want), axis=0) <= bound * np.max(np.abs(want), axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(prob=solvable_problems())
+    def test_gap_is_at_rounding_level(self, prob):
+        # k*L <= 5 and |sin(w*L)| >= 0.2 for an oscillatory pair: the gap was
+        # up to 2.8e-7 of the envelopes with the n = 10**4 oracle alone
+        if prob.case.is_mixed:
+            # s and d solve a*y'' = -+c_eff*y: one pair is oscillatory
+            k = math.sqrt(abs(prob.effective_c(prob.case) / prob.a))
+            kL, wL = k * prob.L, k * prob.L
+        else:
+            m = np.roots((prob.a, prob.b, prob.c))
+            kL, wL = float(np.max(np.abs(m))) * prob.L, float(np.max(m.imag)) * prob.L
+        assume(kL <= 5.0 and (wL == 0.0 or abs(math.sin(wL)) >= 0.2))
+        try:
+            sol = solve(prob)
+        except FuzzyBvpError:
+            assume(False)
+        xs = np.linspace(0.0, prob.L, validate.ORACLE_N + 1)
+        size = np.max(np.abs(evaluate_grids((sol.lower, sol.upper), xs, (0.0, 1.0))))
+        assert oracle_gap(sol) <= 1e-10 * size
+
+
 # (a, b, c, L) whose oracle stencil cannot be formed in double precision at
 # ORACLE_N intervals, each with its refusal.
 # "weight-underflows": a/h**2 is 0, so the stencil has lost the y'' term.
@@ -938,7 +1015,7 @@ class TestOracleGapBoundsEveryLevel:
 # "entries-overflow": a/h**2 is inf, and sub is inf - inf.
 BEYOND_DOUBLE = {
     "weight-underflows": ((1.0, 0.0, 1.0, 1e200), "stencil beyond double precision"),
-    "step-underflows": ((1.0, 0.0, 1.0, 5e-324), "grid step L/n = 5e-324/10000 underflows to 0"),
+    "step-underflows": ((1.0, 0.0, 1.0, 5e-324), "grid step L/n = 5e-324/2000 underflows to 0"),
     "entries-overflow": ((1e300, 1.7976931348623157e308, 0.0, 1e-12), "stencil beyond double precision"),
 }
 
@@ -965,7 +1042,7 @@ class TestStencilBeyondDoublePrecision:
             assert not checked.solved
             if plain.solved:
                 assert checked.error.startswith(
-                    "UnsupportedProblemError: finite-difference oracle at n = 10000"
+                    "UnsupportedProblemError: finite-difference oracle at n = 2000"
                 )
                 assert message in checked.error
             else:
@@ -989,9 +1066,17 @@ class TestFdOracleScaleFree:
     @example(a=2.0**-70, b=0.0, c=-(2.0**-70), L=1.0, n=validate.ORACLE_N, e=70)
     # stencil entries near 1e308, whose sums overflow unless scaled first
     @example(a=4e299, b=1e304, c=0.0, L=1.0, n=validate.ORACLE_N, e=-10)
+    # c*2**e is subnormal: the scaled problem has a c of fewer bits
+    @example(a=1.0, b=0.0, c=4.803105604735833e-196, L=1.0, n=16, e=-374)
+    # b/(2*h) is subnormal in the scaled problem only
+    @example(a=1.0, b=1e-300, c=0.0, L=3.0, n=100, e=-67)
     def test_power_of_two_scaling_keeps_every_bit(self, a, b, c, L, n, e):
         y0, yL = [1.0, 0.0, 2.5], [0.0, 1.0, -3.0]
         scaled = [math.ldexp(v, e) for v in (a, b, c)]
+        # ldexp rounds below the normal range; the oracle keeps every bit of
+        # c and b, so the reference is the problem ``scaled`` is an exact
+        # power-of-two scaling of
+        a, b, c = (math.ldexp(v, -e) for v in scaled)
         try:
             want = fd_oracle(a, b, c, L, y0, yL, n)
         except EigenvalueDegeneracyError:
