@@ -212,19 +212,143 @@ def _solve_requested(spec: ProblemSpec, oracle: bool) -> list[CaseResult]:
     return [check_case(spec.problem, DiffCase(spec.case_request), *grid, oracle=oracle)]
 
 
+# Every value of the CSV is f"{v:.16e}". For |v| in [_FAST_MIN, _FAST_MAX] the
+# 17 correctly rounded digits are computed in numpy: with E = floor(log10|v|),
+# t = |v|*10**(16 - E) lies in [1e16, 1e17) and the digits are round(t).
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# 16 - E over the fast range, with log10's E one off either way
+_K_MIN, _K_MAX = 16 - 282, 16 + 282
+# Veltkamp's constant: splits a double into two 26-bit halves (Dekker 1971)
+_SPLIT = 2.0**27 + 1.0
+# t is formed as p + e with an error below 5e-15 (see _e16_fast); a fraction
+# of e this close to 1/2 may be a tie or on the wrong side, so Python rounds it
+_GUARD = 2.0**-40
+# slots of one field: sign, d, '.', 16 digits, 'e', sign, 3 exponent digits
+_E16_WIDTH = 24
+_BLOCK = 8192
+
+
+def _pow10_table() -> tuple[np.ndarray, np.ndarray]:
+    """10**k = hi + lo for k in [_K_MIN, _K_MAX]: hi is 10**k rounded to a
+    double and lo the rounded remainder, both from exact integer ratios."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        h = num / den  # int / int rounds correctly
+        p, q = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * q - p * den) / (den * q))
+    return np.array(hi), np.array(lo)
+
+
+_POW10_HI, _POW10_LO = _pow10_table()
+
+
+def _scaled(a: np.ndarray, e10: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """t = a*10**(16 - e10) as p + e: p, err = a*hi exactly, by Dekker's
+    product with Veltkamp's split (no FMA), and e = err + a*lo."""
+    k = 16 - _K_MIN - e10
+    hi, lo = _POW10_HI[k], _POW10_LO[k]
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLIT * hi
+    h_hi = c - (c - hi)
+    h_lo = hi - h_hi
+    err = ((a_hi * h_hi - p) + a_hi * h_lo + a_lo * h_hi) + a_lo * h_lo
+    return p, err + a * lo
+
+
+def _e16_fast(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write f"{v:.16e}" of each value into the columns of out (one slot a
+    row, NUL in an unused sign or exponent-hundreds slot) and return where
+    that text is proven; Python formats the rest.
+
+    The error of p + e against t: 10**k = hi + lo + d with |lo| <= 2**-53*hi
+    and |d| <= 2**-106*hi, and t < 2**57 once E is right. So |a*d| < 2**-49,
+    fl(a*lo) errs by < 2**-50 (|a*lo| < 16), and err + fl(a*lo) (< 8 + 16)
+    rounds by < 2**-49: |t - (p + e)| < 5*2**-50 < 5e-15. f = e - floor(e) is
+    exact but for e in (-1/2, 0), where it errs by 2**-54. Beyond _GUARD of
+    1/2, f and the fraction of t fall on the same side of 1/2, so
+    N = p + floor(e) + (f > 1/2) is round(t), and p >= 2**53 is an integer.
+    """
+    a = np.abs(v)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)  # False for 0, inf and nan
+    a[~fast] = 1.0
+    e10 = np.floor(np.log10(a)).astype(np.int64)
+    p, e = _scaled(a, e10)
+    # log10 is within an ulp, so E is at most one off, near a power of ten;
+    # where p + e cannot tell t from 1e16 or 1e17, either E gives the same text
+    step = ((p - 1e17) + e >= 0).astype(np.int64) - ((p - 1e16) + e < 0)
+    redo = np.flatnonzero(step)
+    if redo.size:
+        e10[redo] += step[redo]
+        p[redo], e[redo] = _scaled(a[redo], e10[redo])
+    whole = np.floor(e)
+    f = e - whole
+    fast &= np.abs(f - 0.5) > _GUARD
+    n = p.astype(np.int64) + whole.astype(np.int64) + (f > 0.5)
+    carry = n == 10**17
+    n[carry] = 10**16
+    e10 += carry
+
+    out[0] = np.where(v < 0, ord("-"), 0)
+    out[2] = ord(".")
+    out[19] = ord("e")
+    out[20] = np.where(e10 < 0, ord("-"), ord("+"))
+    # the leading nine digits, then the last eight: each part fits uint32,
+    # whose division by a scalar numpy runs through libdivide
+    high, low = divmod(n, 10**8)
+    for part, slots in (
+        (high.astype(np.uint32), (10, 9, 8, 7, 6, 5, 4, 3, 1)),
+        (low.astype(np.uint32), range(18, 10, -1)),
+        (np.abs(e10).astype(np.uint32), (23, 22)),
+    ):
+        for slot in slots:
+            rest = part // 10
+            out[slot] = part - 10 * rest + ord("0")
+            part = rest
+    out[21] = np.where(part > 0, part + ord("0"), 0)
+    return fast
+
+
+def _e16_bytes(values: np.ndarray) -> np.ndarray:
+    """f"{v:.16e}" of each value as a row of _E16_WIDTH ASCII bytes, NUL in
+    the unused slots: the numpy digits where they are proven, else Python's."""
+    v = np.asarray(values, dtype=float).ravel()
+    out = np.empty((_E16_WIDTH, v.size), np.uint8)
+    fast = np.empty(v.size, bool)
+    # blocks keep the float temporaries small and in cache
+    for start in range(0, v.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        fast[block] = _e16_fast(v[block], out[:, block])
+    for i in np.flatnonzero(~fast):
+        text = f"{v[i]:.16e}".encode("ascii")
+        out[:, i] = 0
+        out[: len(text), i] = np.frombuffer(text, np.uint8)
+    return out.T
+
+
 def _write_csv(path: Path, sol, x_samples: int, r_levels: int) -> None:
-    # 17 significant digits, scientific: round-trips doubles on any platform
+    # 17 significant digits, scientific: round-trips doubles on any platform.
+    # Each line is four NUL-padded fields and three commas; one mask drops the NULs
     xs = np.linspace(0.0, sol.problem.L, x_samples)
     rs = np.linspace(0.0, 1.0, r_levels)
-    lower, upper = evaluate_grids((sol.lower, sol.upper), xs, rs)[:, 0].tolist()
-    r_text = [f"{r:.16e}" for r in rs.tolist()]
-    rows = ["x,r,lower,upper"]
-    for x, lo_row, up_row in zip(xs.tolist(), lower, upper):
-        x_text = f"{x:.16e}"
-        rows.extend(
-            f"{x_text},{r},{lo:.16e},{up:.16e}" for r, lo, up in zip(r_text, lo_row, up_row)
-        )
-    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    envelopes = evaluate_grids((sol.lower, sol.upper), xs, rs)[:, 0]
+    text = _e16_bytes(np.concatenate([xs, rs, envelopes.ravel()]))
+    x_text, r_text = text[:x_samples], text[x_samples : x_samples + r_levels]
+    lower, upper = text[x_samples + r_levels :].reshape(2, x_samples, r_levels, _E16_WIDTH)
+    header = b"x,r,lower,upper\n"
+    field = _E16_WIDTH + 1
+    data = np.empty(len(header) + x_samples * r_levels * 4 * field, np.uint8)
+    data[: len(header)] = np.frombuffer(header, np.uint8)
+    lines = data[len(header) :].reshape(x_samples, r_levels, 4 * field)
+    lines[..., _E16_WIDTH::field] = ord(",")
+    lines[..., -1] = ord("\n")
+    for i, column in enumerate((x_text[:, None], r_text, lower, upper)):
+        lines[..., i * field : i * field + _E16_WIDTH] = column
+    path.write_bytes(data[data != 0])
 
 
 def _term_label(kind, k: float) -> str:
@@ -312,8 +436,11 @@ def run(
                 block.append(f"error = {res.error}")
             report_blocks.append("\n".join(block))
 
-        (out / "summary.txt").write_text("\n".join(summary_lines), encoding="utf-8")
-        (out / "report.txt").write_text("\n\n".join(report_blocks) + "\n", encoding="utf-8")
+        # "\n" line ends on every platform, as the CSV's bytes have
+        (out / "summary.txt").write_text("\n".join(summary_lines), encoding="utf-8", newline="\n")
+        (out / "report.txt").write_text(
+            "\n\n".join(report_blocks) + "\n", encoding="utf-8", newline="\n"
+        )
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fix_r
-from fuzzybvp import DiffCase, FuzzySolution, ProblemFormatError, RClosedForm, RFun, solve
+from fuzzybvp import (
+    DiffCase,
+    FuzzyNumber,
+    FuzzySolution,
+    ProblemFormatError,
+    RClosedForm,
+    RFun,
+    TermKind,
+    solve,
+)
 from fuzzybvp import cli, validate
 from fuzzybvp.cli import (
     _write_csv,
@@ -27,7 +37,7 @@ from fuzzybvp.cli import (
     parse_problem_text,
     run,
 )
-from test_solver import homogeneous_problem, paper_H, wave_problem
+from test_solver import BC0, BCL, homogeneous_problem, paper_H, wave_problem
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 DEMO_PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
@@ -582,15 +592,44 @@ def _per_point_csv(sol, x_samples: int, r_levels: int) -> bytes:
     return ("\n".join(rows) + "\n").encode("utf-8")
 
 
+def _scaled_wave(case: DiffCase, scale: float) -> FuzzySolution:
+    """The wave problem's solution with every boundary coefficient times scale."""
+    bc0, bcL = (FuzzyNumber(bc.lower.scaled(scale), bc.upper.scaled(scale)) for bc in (BC0, BCL))
+    return solve(replace(wave_problem(case), bc0=bc0, bcL=bcL))
+
+
+# 1 + 2**-17 = 1.00000762939453125 has 18 significant digits: a tie at 17
+TIE = 1.0 + 2.0**-17
+TIE_FORM = RClosedForm(((TermKind.EXP, 0.0, RFun(TIE, 0.0)),))
+
+
 class TestCsvBytes:
     @pytest.mark.parametrize(
-        "problem",
-        [wave_problem(DiffCase.CASE_12), homogeneous_problem(DiffCase.CASE_11)],
-        ids=["wave-12", "homogeneous-11"],
+        "sol, x_samples, r_levels",
+        [
+            pytest.param(solve(problem), *grid, id=f"{grid[0]}-{grid[1]}-{name}")
+            for grid in [(7, 4), (101, 11)]
+            for name, problem in [
+                ("wave-12", wave_problem(DiffCase.CASE_12)),
+                ("homogeneous-11", homogeneous_problem(DiffCase.CASE_11)),
+            ]
+        ]
+        # 2**±400 give three-digit exponents; at 2**-1000 every value is near
+        # 1e-301, below the fast range, so Python formats the whole file
+        + [
+            pytest.param(_scaled_wave(case, 2.0**power), 101, 11, id=f"wave-{case.tag}-2^{power}")
+            for case in (DiffCase.CASE_11, DiffCase.CASE_12)
+            for power in (400, -400, -1000)
+        ]
+        + [
+            pytest.param(solve(wave_problem(DiffCase.CASE_11)), 1001, 21, id="1001-21-wave-11"),
+            pytest.param(
+                FuzzySolution(TIE_FORM, TIE_FORM, DiffCase.CASE_11, wave_problem(), {}), 7, 4,
+                id="7-4-tie",
+            ),
+        ],
     )
-    @pytest.mark.parametrize("x_samples, r_levels", [(7, 4), (101, 11)])
-    def test_matches_per_point_loop(self, tmp_path, problem, x_samples, r_levels):
-        sol = solve(problem)
+    def test_matches_per_point_loop(self, tmp_path, sol, x_samples, r_levels):
         path = tmp_path / "case.csv"
         _write_csv(path, sol, x_samples, r_levels)
         assert path.read_bytes() == _per_point_csv(sol, x_samples, r_levels)
@@ -604,6 +643,64 @@ class TestCsvBytes:
         assert len(rows) == 15
         for row in rows:
             assert row.split(",")[2:] == ["0.0000000000000000e+00"] * 2
+
+
+def _e16_texts(values) -> list[str]:
+    """The CSV helper's text of each value, its NUL slots dropped."""
+    rows = cli._e16_bytes(np.array(values, dtype=float))
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+def _proven(values) -> np.ndarray:
+    """Where the helper's numpy digits stand without Python's formatter."""
+    v = np.array(values, dtype=float)
+    return cli._e16_fast(v, np.empty((cli._E16_WIDTH, v.size), np.uint8))
+
+
+POWERS_OF_TEN = np.array([float(f"1e{k}") for k in range(-300, 301)])
+EDGE_VALUES = [
+    5e-324,
+    2.2250738585072014e-308,
+    1.7976931348623157e308,
+    *POWERS_OF_TEN,
+    *np.nextafter(POWERS_OF_TEN, 0.0),
+    *np.nextafter(POWERS_OF_TEN, np.inf),
+    *(
+        np.nextafter(bound, toward)
+        for bound in (cli._FAST_MIN, cli._FAST_MAX)
+        for toward in (0.0, bound, np.inf)
+    ),
+]
+
+
+class TestE16Text:
+    """The CSV's numbers are f"{v:.16e}", byte for byte, whichever path forms them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    @example([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.5e-310])
+    def test_matches_format(self, values):
+        assert _e16_texts(values) == [f"{v:.16e}" for v in values]
+
+    def test_edge_values(self):
+        values = EDGE_VALUES + [-v for v in EDGE_VALUES]
+        assert _e16_texts(values) == [f"{v:.16e}" for v in values]
+
+    def test_ties_round_half_even_in_python(self):
+        ties = [TIE, -TIE, 1.0 + 3.0 * 2.0**-17]
+        assert not _proven(ties).any()
+        assert _e16_texts(ties) == [
+            "1.0000076293945312e+00",
+            "-1.0000076293945312e+00",
+            "1.0000228881835938e+00",
+        ]
+
+    def test_fast_path_proves_ordinary_values(self):
+        # an exact tie at 17 digits (Python's to round) needs a short decimal
+        # expansion, which doubles above ~1e10 often have; these stay below 1e5
+        values = np.random.default_rng(0).standard_normal(10_000) * 10.0 ** np.arange(-20, 5).repeat(400)
+        assert _proven(values).mean() > 0.999
+        assert _e16_texts(values) == [f"{v:.16e}" for v in values.tolist()]
 
 
 def _blocks(path: Path) -> list[str]:
